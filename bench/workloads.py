@@ -19,7 +19,7 @@ OUT = BENCH_DIR / "out"
 # Inputs of each workload. A round runs one operation per case.
 PERTURB = {"n": 64, "chords": 1}
 PERTURB_CHORD_PREDS = 10
-PERTURB_CASES = 8
+PERTURB_CASES = 16
 STEADY = {"n": 30, "chords": 30}
 STEADY_CASES = 4
 
