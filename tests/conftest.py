@@ -55,6 +55,12 @@ def _states(n: int) -> list[PairState]:
     return [PairState(left=f"s{i}", right=f"s{i}", index=i) for i in range(n)]
 
 
+def chain_from_rows(rows, stochastic: bool = False, mode: str = "edge-confidence") -> PairwiseChain:
+    """Chain whose row i lists ``(column, weight)`` pairs sorted by column."""
+    return PairwiseChain(states=_states(len(rows)), transitions=[list(r) for r in rows],
+                         stochastic=stochastic, mode=mode)
+
+
 def random_raw_chain(rng: random.Random, max_states: int = 20) -> PairwiseChain:
     """Seeded unnormalized chain with a sparse mix of filled and empty rows."""
     n = rng.randint(1, max_states)

@@ -98,3 +98,47 @@ def greedy_row_assignment_total(matrix) -> float:
         used.add(best_c)
         total += matrix[r][best_c]
     return total
+
+
+def normalize_rows(rows, norm_mode: str, baseline: bool = False):
+    """Row normalization, one row at a time in plain Python floats.
+
+    ``rows`` lists ``(column, weight)`` pairs per row, sorted by column.
+    Sums run left to right, as ``sum()`` does, so the result is the exact
+    float the package must produce: single-entry rows get 1.0, empty rows a
+    self-loop, baseline rows 1/outdegree, and shares that cancel to 0.0
+    are dropped.
+    """
+    out = []
+    for i, row in enumerate(rows):
+        if not row:
+            out.append([(i, 1.0)])
+            continue
+        if len(row) == 1:
+            out.append([(row[0][0], 1.0)])
+            continue
+        weights = [w for _, w in row]
+        if baseline:
+            shares = [1.0 / len(row)] * len(row)
+        elif norm_mode == "formula":
+            m_i = sum(1.0 / w for w in weights)
+            temp = [m_i - 1.0 / w for w in weights]
+            total = sum(temp)
+            shares = [t / total for t in temp]
+        else:
+            row_sum = sum(weights)
+            temp = [row_sum - w for w in weights]
+            total = sum(temp)
+            shares = [t / total for t in temp]
+        out.append([(c, s) for (c, _), s in zip(row, shares) if s > 0.0])
+    return out
+
+
+def damp_rows(rows, a: float):
+    """P' = aP + (1-a)I, one row at a time: a*w off the diagonal, a*w + (1-a) on it."""
+    out = []
+    for i, row in enumerate(rows):
+        scaled = {c: a * w for c, w in row}
+        scaled[i] = scaled.get(i, 0.0) + (1.0 - a)
+        out.append(sorted(scaled.items()))
+    return out

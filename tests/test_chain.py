@@ -19,7 +19,8 @@ from chainalign.chain import (
 )
 from chainalign.lexical import SimilarityConfig
 
-from conftest import make_graph, random_raw_chain, random_stochastic_chain
+from conftest import chain_from_rows, make_graph, random_raw_chain, random_stochastic_chain
+from oracles import damp_rows, normalize_rows
 
 
 def transition_map(chain):
@@ -354,3 +355,38 @@ class TestChainValidation:
     def test_support_reports_all_positions(self):
         chain = chain_from_matrix([[0.5, 0.5], [0, 1.0]])
         assert chain.support() == {(0, 0), (0, 1), (1, 1)}
+
+
+class TestNormalizationOracle:
+    """normalize and ergodic_transform reproduce the per-row oracle bit for bit."""
+
+    MODES = [("complement", False), ("formula", False), ("complement", True)]
+
+    def assert_matches_oracle(self, rows):
+        for norm_mode, baseline in self.MODES:
+            raw = chain_from_rows(rows, mode=BASELINE_SF if baseline else EDGE_CONFIDENCE)
+            expected = normalize_rows(rows, norm_mode, baseline)
+            normalized = normalize(raw, norm_mode)
+            assert normalized.transitions == expected
+            for a in (0.85, 0.5, 0.1):
+                assert ergodic_transform(normalized, a).transitions == damp_rows(expected, a)
+
+    def test_random_raw_chains(self):
+        for seed in range(200):
+            self.assert_matches_oracle(random_raw_chain(random.Random(seed)).transitions)
+
+    def test_cancellation_row(self):
+        self.assert_matches_oracle([[(1, 5.0), (2, 1e-300)], [], []])
+        assert normalize_rows([[(1, 5.0), (2, 1e-300)]], "complement") == [[(2, 1.0)]]
+
+    def test_long_rows(self):
+        rng = random.Random(8)
+        for _ in range(100):
+            n = rng.randint(8, 60)
+            rows = []
+            for _ in range(n):
+                cols = sorted(rng.sample(range(n), rng.randint(0, min(n, 40))))
+                rows.append([(c, rng.choice([1.0, 4 / 3, 2.0, rng.uniform(0.05, 5.0)]))
+                             for c in cols])
+            assert max(map(len, rows)) >= 8
+            self.assert_matches_oracle(rows)
