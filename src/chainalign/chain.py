@@ -1,7 +1,9 @@
 """Pairwise Markov chain over term pairs and its stationary solvers.
 
 The chain's states are the full cross product of the two ontologies'
-terms (sorted id order on each side, row-major indexing). A transition
+terms, and the whole chain is one n1*n2 x n1*n2 scipy CSR matrix: state
+(i, j), the i-th term of ontology 1 paired with the j-th of ontology 2
+(sorted ids on each side), is row and column i * n2 + j. A transition
 (x, y) -> (x', y') exists exactly when ontology 1 has an edge x -> x'
 and ontology 2 has an edge y -> y' whose label sets are lexically
 compatible:
@@ -32,14 +34,15 @@ lexical initial distribution, or a direct linear solve of
 pi (P - I) = 0 with one equation replaced by sum(pi) = 1. The direct
 solve requires a unique stationary distribution; chains whose pair graph
 splits into several closed classes make the system singular and raise
-``SolverError``. The ergodic damping transform P' = aP + (1-a)I removes
-periodicity (it preserves the stationary distribution of irreducible
-chains) and should be applied before either solver.
+``SolverError`` (power iteration still answers them). The ergodic
+damping transform P' = aP + (1-a)I removes periodicity (it preserves the
+stationary distribution of irreducible chains) and should be applied
+before either solver.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy import sparse
@@ -67,18 +70,14 @@ METHODS = (METHOD_ITERATIVE, METHOD_STEADY_STATE)
 
 ROW_SUM_TOL = 1e-9
 
+# What to do when the direct solve fails. Damping cannot help: aP + (1-a)I
+# has the same communicating classes as P.
+_REMEDY = ('use method="iterative" (--method iterative), which solves the chain '
+           "from the lexical initial distribution")
+
 
 class SolverError(RuntimeError):
     """The stationary system could not be solved as posed."""
-
-
-@dataclass(frozen=True)
-class PairState:
-    """One cross-product state: a term of ontology 1 paired with one of ontology 2."""
-
-    left: str
-    right: str
-    index: int
 
 
 @dataclass(frozen=True)
@@ -107,61 +106,48 @@ class SolverConfig:
 
 @dataclass
 class PairwiseChain:
-    """Sparse row-major transition structure over pair states.
+    """Transition matrix over pair states, held as one CSR matrix.
 
-    ``transitions[i]`` lists ``(column, weight)`` pairs with weight > 0,
-    sorted by column, no duplicates. ``stochastic`` records whether rows
-    have been normalized to sum to 1.
+    State (i, j), term i of ontology 1 with term j of ontology 2 (sorted
+    ids on each side), is row and column i * n2 + j. Every stored weight
+    is positive and every row's columns are sorted and unique.
+    ``stochastic`` records whether rows have been normalized to sum to 1.
     """
 
-    states: list[PairState]
-    transitions: list[list[tuple[int, float]]]
+    matrix: sparse.csr_matrix
     stochastic: bool = False
     mode: str = EDGE_CONFIDENCE
 
     def __post_init__(self):
-        if len(self.transitions) != len(self.states):
-            raise ValueError("one transition row per state required")
-        for i, row in enumerate(self.transitions):
-            cols = [c for c, _ in row]
-            if cols != sorted(set(cols)):
-                raise ValueError(f"row {i}: columns must be sorted and unique")
-            for c, w in row:
-                if not 0 <= c < len(self.states):
-                    raise ValueError(f"row {i}: column {c} out of range")
-                if w <= 0:
-                    raise ValueError(f"row {i}: stored weights must be positive, got {w}")
+        m = self.matrix
+        if not isinstance(m, sparse.csr_matrix):
+            raise ValueError(f"matrix must be a scipy.sparse.csr_matrix, got {type(m).__name__}")
+        n = m.shape[0]
+        if m.shape != (n, n):
+            raise ValueError(f"matrix must be square, got shape {m.shape}")
+        if ((m.indices < 0) | (m.indices >= n)).any():
+            raise ValueError("column index out of range")
+        rows = np.repeat(np.arange(n), np.diff(m.indptr))
+        if (np.diff(rows * n + m.indices) <= 0).any():
+            raise ValueError("columns must be sorted and unique within each row")
+        if not (m.data > 0).all():
+            raise ValueError("stored weights must be positive")
         if self.stochastic:
-            for i, row in enumerate(self.transitions):
-                s = sum(w for _, w in row)
-                if abs(s - 1.0) > ROW_SUM_TOL:
-                    raise ValueError(f"row {i}: stochastic row sums to {s}, not 1")
+            sums = m @ np.ones(n)
+            off = np.abs(sums - 1.0) > ROW_SUM_TOL
+            if off.any():
+                i = int(np.argmax(off))
+                raise ValueError(f"row {i}: stochastic row sums to {sums[i]}, not 1")
 
     def __len__(self) -> int:
-        return len(self.states)
+        return self.matrix.shape[0]
 
-    def support(self) -> set[tuple[int, int]]:
-        """All (row, column) positions that carry a transition."""
-        return {(i, c) for i, row in enumerate(self.transitions) for c, _ in row}
-
-    def to_csr(self) -> sparse.csr_matrix:
-        n = len(self.states)
-        rows, cols, vals = [], [], []
-        for i, row in enumerate(self.transitions):
-            for c, w in row:
-                rows.append(i)
-                cols.append(c)
-                vals.append(w)
-        return sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
-
-    def to_dense(self) -> np.ndarray:
-        return self.to_csr().toarray()
-
-    def is_identity(self, tol: float = 1e-9) -> bool:
-        return all(
-            len(row) == 1 and row[0][0] == i and abs(row[0][1] - 1.0) <= tol
-            for i, row in enumerate(self.transitions)
-        )
+    @property
+    def transitions(self) -> list[list[tuple[int, float]]]:
+        """Each row's ``(column, weight)`` pairs as Python numbers, sorted by column."""
+        cols, weights = self.matrix.indices.tolist(), self.matrix.data.tolist()
+        ptr = self.matrix.indptr.tolist()
+        return [list(zip(cols[a:b], weights[a:b])) for a, b in zip(ptr, ptr[1:])]
 
 
 @dataclass(frozen=True)
@@ -172,22 +158,6 @@ class SolveResult:
     iterations: int
     converged: bool
     method: str
-
-
-def chain_from_matrix(matrix: Sequence[Sequence[float]], stochastic: bool = True,
-                      mode: str = EDGE_CONFIDENCE) -> PairwiseChain:
-    """Build a chain from a dense square matrix; zeros are not stored.
-
-    Mostly useful for tests and for chains that do not come from a pair
-    of ontologies; states get synthetic s<i> names.
-    """
-    n = len(matrix)
-    states = [PairState(left=f"s{i}", right=f"s{i}", index=i) for i in range(n)]
-    transitions = [
-        [(j, float(w)) for j, w in enumerate(row) if w != 0.0] for row in matrix
-    ]
-    return PairwiseChain(states=states, transitions=transitions,
-                         stochastic=stochastic, mode=mode)
 
 
 def build_upmc(
@@ -203,18 +173,9 @@ def build_upmc(
     if not g1.terms or not g2.terms:
         raise ValueError("both ontologies must contain at least one term")
 
-    left_ids = g1.term_ids
-    right_ids = g2.term_ids
-    n2 = len(right_ids)
-    left_pos = {t: i for i, t in enumerate(left_ids)}
-    right_pos = {t: j for j, t in enumerate(right_ids)}
-
-    states = [
-        PairState(left=x, right=y, index=i * n2 + j)
-        for i, x in enumerate(left_ids)
-        for j, y in enumerate(right_ids)
-    ]
-    transitions: list[list[tuple[int, float]]] = [[] for _ in states]
+    n2 = len(g2.term_ids)
+    left_pos = {t: i for i, t in enumerate(g1.term_ids)}
+    right_pos = {t: j for j, t in enumerate(g2.term_ids)}
 
     # sigma only depends on the label pair; score each (label set, label set)
     # combination once.
@@ -230,20 +191,37 @@ def build_upmc(
             pair_cache[key] = w
         return pair_cache[key]
 
-    adj1 = {k: frozenset(v) for k, v in g1.adjacency.items()}
-    adj2 = {k: frozenset(v) for k, v in g2.adjacency.items()}
-    for (x, x2), labels1 in adj1.items():
-        for (y, y2), labels2 in adj2.items():
+    # an edge x -> x2 of g1 contributes i * n2 to the row and column indices,
+    # an edge y -> y2 of g2 contributes j
+    edges1 = [(left_pos[x] * n2, left_pos[x2] * n2, frozenset(v))
+              for (x, x2), v in g1.adjacency.items()]
+    edges2 = [(right_pos[y], right_pos[y2], frozenset(v))
+              for (y, y2), v in g2.adjacency.items()]
+    rows: list[int] = []
+    cols: list[int] = []
+    weights: list[float] = []
+    for row1, col1, labels1 in edges1:
+        for row2, col2, labels2 in edges2:
             w = pair_weight(labels1, labels2)
             if w > 0.0:
-                row = left_pos[x] * n2 + right_pos[y]
-                col = left_pos[x2] * n2 + right_pos[y2]
-                transitions[row].append((col, w))
+                rows.append(row1 + row2)
+                cols.append(col1 + col2)
+                weights.append(w)
 
-    for row in transitions:
-        row.sort()
-    return PairwiseChain(states=states, transitions=transitions,
-                         stochastic=False, mode=chain_mode)
+    # adjacency keys are unique on each side, so no (row, col) repeats
+    n = len(left_pos) * n2
+    matrix = sparse.csr_matrix((weights, (rows, cols)), shape=(n, n))
+    return PairwiseChain(matrix, stochastic=False, mode=chain_mode)
+
+
+def _row_sums(matrix: sparse.csr_matrix, values: np.ndarray) -> np.ndarray:
+    """Per-row sums of ``values`` laid out like ``matrix.data``.
+
+    csr_matvec adds each row's entries left to right from 0.0, as ``sum()``
+    does, so the sums are the same floats a per-row Python loop gives.
+    """
+    laid_out = sparse.csr_matrix((values, matrix.indices, matrix.indptr), shape=matrix.shape)
+    return laid_out @ np.ones(matrix.shape[1])
 
 
 def normalize(chain: PairwiseChain, norm_mode: str = NORM_COMPLEMENT) -> PairwiseChain:
@@ -253,35 +231,23 @@ def normalize(chain: PairwiseChain, norm_mode: str = NORM_COMPLEMENT) -> Pairwis
     if norm_mode not in NORM_MODES:
         raise ValueError(f"norm_mode must be one of {NORM_MODES}, got {norm_mode!r}")
 
-    new_rows: list[list[tuple[int, float]]] = []
-    for i, row in enumerate(chain.transitions):
-        for _, w in row:
-            if w < 0:
-                raise ValueError(f"row {i}: negative weight {w}")
-        if not row:
-            new_rows.append([(i, 1.0)])
-            continue
-        if len(row) == 1:
-            new_rows.append([(row[0][0], 1.0)])
-            continue
-        weights = [w for _, w in row]
-        if chain.mode == BASELINE_SF:
-            shares = [1.0 / len(row)] * len(row)
-        elif norm_mode == NORM_FORMULA:
-            m_i = sum(1.0 / w for w in weights)
-            temp = [m_i - 1.0 / w for w in weights]
-            total = sum(temp)
-            shares = [t / total for t in temp]
-        else:
-            row_sum = sum(weights)
-            temp = [row_sum - w for w in weights]
-            total = sum(temp)
-            shares = [t / total for t in temp]
-        # extreme weight ratios can cancel a share to exactly 0.0; zero
-        # weights are never stored
-        new_rows.append([(c, s) for (c, _), s in zip(row, shares) if s > 0.0])
-    return PairwiseChain(states=chain.states, transitions=new_rows,
-                         stochastic=True, mode=chain.mode)
+    # empty rows become self-loops, which the single-entry rule sends to 1.0
+    empty = np.diff(chain.matrix.indptr) == 0
+    m = chain.matrix + sparse.diags(empty.astype(float), format="csr")
+    counts = np.diff(m.indptr)
+    row_len = np.repeat(counts, counts)  # length of each entry's row
+    if chain.mode == BASELINE_SF:
+        shares = 1.0 / row_len
+    else:
+        d = m.data if norm_mode == NORM_COMPLEMENT else 1.0 / m.data
+        temp = np.repeat(_row_sums(m, d), counts) - d
+        temp[row_len == 1] = 1.0
+        shares = temp / np.repeat(_row_sums(m, temp), counts)
+    m.data = shares
+    # extreme weight ratios can cancel a share to exactly 0.0; zero weights
+    # are never stored
+    m.eliminate_zeros()
+    return PairwiseChain(m, stochastic=True, mode=chain.mode)
 
 
 def ergodic_transform(chain: PairwiseChain, a: float) -> PairwiseChain:
@@ -292,13 +258,8 @@ def ergodic_transform(chain: PairwiseChain, a: float) -> PairwiseChain:
         raise ValueError(f"a must lie in (0, 1], got {a}")
     if a == 1.0:
         return chain
-    new_rows = []
-    for i, row in enumerate(chain.transitions):
-        scaled = {c: a * w for c, w in row}
-        scaled[i] = scaled.get(i, 0.0) + (1.0 - a)
-        new_rows.append(sorted(scaled.items()))
-    return PairwiseChain(states=chain.states, transitions=new_rows,
-                         stochastic=True, mode=chain.mode)
+    damped = a * chain.matrix + sparse.diags(np.full(len(chain), 1.0 - a), format="csr")
+    return PairwiseChain(damped, stochastic=True, mode=chain.mode)
 
 
 def initial_distribution(
@@ -309,15 +270,20 @@ def initial_distribution(
 ) -> np.ndarray:
     """Lexical starting point: state (x, y) weighted by sigma of the term labels."""
     cfg = cfg or SimilarityConfig()
+    labels1 = [g1.label(t) for t in g1.term_ids]
+    labels2 = [g2.label(t) for t in g2.term_ids]
+    if len(chain) != len(labels1) * len(labels2):
+        raise ValueError("chain states must be the cross product of the two ontologies' terms")
     sigma_cache: dict[tuple[str, str], float] = {}
-    values = np.zeros(len(chain.states))
-    for state in chain.states:
-        key = (g1.label(state.left), g2.label(state.right))
+
+    def sigma(key: tuple[str, str]) -> float:
         if key not in sigma_cache:
             sigma_cache[key] = edit_similarity(
                 normalize_label(key[0], cfg), normalize_label(key[1], cfg)
             )
-        values[state.index] = sigma_cache[key]
+        return sigma_cache[key]
+
+    values = np.array([sigma(key) for key in itertools.product(labels1, labels2)])
     total = values.sum()
     if total <= 0.0:
         return np.full(len(values), 1.0 / len(values))
@@ -330,12 +296,12 @@ def iterate(chain: PairwiseChain, pi0: np.ndarray, cfg: SolverConfig | None = No
     if not chain.stochastic:
         raise ValueError("iterate requires a stochastic chain")
     pi = np.asarray(pi0, dtype=float)
-    if pi.shape != (len(chain.states),):
-        raise ValueError(f"pi0 must have one entry per state ({len(chain.states)})")
+    if pi.shape != (len(chain),):
+        raise ValueError(f"pi0 must have one entry per state ({len(chain)})")
     if pi.min() < 0 or pi.sum() <= 0:
         raise ValueError("pi0 must be a non-negative vector with positive mass")
     pi = pi / pi.sum()
-    matrix = chain.to_csr()
+    matrix = chain.matrix
     iterations = 0
     converged = False
     for iterations in range(1, cfg.max_iters + 1):
@@ -361,9 +327,8 @@ def _solve_dense(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         pivot_row = k + int(np.argmax(np.abs(a[k:, k])))
         if abs(a[pivot_row, k]) < tol:
             raise SolverError(
-                "stationary system is singular beyond the expected rank deficiency "
-                "(the pair chain likely splits into several closed classes); "
-                "increase damping by lowering damping_a and retry"
+                "stationary system is singular: the pair chain splits into several "
+                f"closed classes, so its stationary distribution is not unique; {_REMEDY}"
             )
         if pivot_row != k:
             a[[k, pivot_row]] = a[[pivot_row, k]]
@@ -387,12 +352,15 @@ def steady_state(chain: PairwiseChain, cfg: SolverConfig | None = None) -> Solve
     cfg = cfg or SolverConfig()
     if not chain.stochastic:
         raise ValueError("steady_state requires a stochastic chain")
-    n = len(chain.states)
-    if chain.is_identity():
+    n = len(chain)
+    m = chain.matrix
+    # one entry per row, on the diagonal (its weight is 1 within the
+    # stochastic row-sum tolerance)
+    if np.array_equal(m.indptr, np.arange(n + 1)) and np.array_equal(m.indices, np.arange(n)):
         pi = np.full(n, 1.0 / n)
         return SolveResult(distribution=pi, iterations=0, converged=True,
                            method=METHOD_STEADY_STATE)
-    system = chain.to_dense().T - np.eye(n)
+    system = m.toarray().T - np.eye(n)
     system[n - 1, :] = 1.0
     rhs = np.zeros(n)
     rhs[n - 1] = 1.0
@@ -400,8 +368,8 @@ def steady_state(chain: PairwiseChain, cfg: SolverConfig | None = None) -> Solve
     lowest = pi.min()
     if lowest < -1e-9:
         raise SolverError(
-            f"stationary solve produced a significantly negative entry ({lowest:.3e}); "
-            "the system is ill-conditioned, increase damping by lowering damping_a"
+            f"stationary solve produced a significantly negative entry ({lowest:.3e}), "
+            f"so the system is ill-conditioned; {_REMEDY}"
         )
     pi = np.clip(pi, 0.0, None)
     pi = pi / pi.sum()
@@ -411,8 +379,8 @@ def steady_state(chain: PairwiseChain, cfg: SolverConfig | None = None) -> Solve
 
 def dump_triplets(chain: PairwiseChain) -> str:
     """Sparse triplet CSV (row,col,weight) for external inspection."""
+    m = chain.matrix
+    rows = np.repeat(np.arange(len(chain)), np.diff(m.indptr))
     lines = ["row,col,weight"]
-    for i, row in enumerate(chain.transitions):
-        for c, w in row:
-            lines.append(f"{i},{c},{w!r}")
+    lines += [f"{i},{c},{w!r}" for i, c, w in zip(rows.tolist(), m.indices.tolist(), m.data.tolist())]
     return "\n".join(lines) + "\n"

@@ -9,6 +9,8 @@ Subcommands::
     dump-chain <ont1> <ont2>            sparse triplets of the transition matrix
 
 Exit codes: 0 success, 1 usage error, 2 data/parse error, 3 solver failure.
+A solve that stops at the iteration cap still exits 0, after one
+``chainalign: warning:`` line per such solve on stderr.
 Flag defaults come from the library config dataclasses, so the CLI never
 drifts from the module-level defaults. An optional JSON config file may
 pre-set any flag; explicit flags win over the file.
@@ -31,6 +33,7 @@ from .chain import (
 )
 from .evaluation import (
     MUTATIONS,
+    _fmt_metric,
     comparison_csv,
     compare,
     evaluate,
@@ -191,39 +194,44 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load_graph(path: str):
+def _require_file(path: str) -> str:
     if not Path(path).exists():
         raise OntologyError(f"no such file: {path}")
-    return load_ontology(path)
+    return path
+
+
+def _load_graph(path: str):
+    return load_ontology(_require_file(path))
+
+
+def _warn_unconverged(what: str, outcome) -> None:
+    """One stderr line if ``outcome`` (a SolveResult or CompareRow) did not converge."""
+    if not outcome.converged:
+        print(f"chainalign: warning: {what} did not converge in {outcome.iterations} "
+              "iterations; raise --max-iters or loosen --epsilon", file=sys.stderr)
 
 
 def _cmd_align(args) -> int:
     cfg = resolve_config(args)
     g1 = _load_graph(args.ontology1)
     g2 = _load_graph(args.ontology2)
-    alignment, _ = align(g1, g2, cfg.sim_config(), cfg.solver_config(), cfg.min_confidence)
+    alignment, result = align(g1, g2, cfg.sim_config(), cfg.solver_config(), cfg.min_confidence)
+    _warn_unconverged("the solve", result)
     text = alignment_to_json(alignment) if cfg.format == "json" else alignment_to_tsv(alignment)
     _emit(text, args.output)
     return EXIT_OK
 
 
 def _cmd_eval(args) -> int:
-    for path in (args.alignment, args.reference):
-        if not Path(path).exists():
-            raise OntologyError(f"no such file: {path}")
     try:
-        returned = load_alignment(args.alignment).pairs()
-        reference = load_reference(args.reference)
+        returned = load_alignment(_require_file(args.alignment)).pairs()
+        reference = load_reference(_require_file(args.reference))
     except (ValueError, KeyError) as exc:
         raise OntologyError(str(exc)) from None
     report = evaluate(returned, reference.pairs)
-
-    def fmt(v):
-        return "—" if v is None else f"{v:.6f}"
-
     print(
-        f"precision={fmt(report.precision)} recall={fmt(report.recall)} "
-        f"f={fmt(report.f_measure)} returned={report.returned} "
+        f"precision={_fmt_metric(report.precision)} recall={_fmt_metric(report.recall)} "
+        f"f={_fmt_metric(report.f_measure)} returned={report.returned} "
         f"valid={report.valid} correct={report.correct}"
     )
     return EXIT_OK
@@ -233,11 +241,11 @@ def _cmd_compare(args) -> int:
     cfg = resolve_config(args)
     g1 = _load_graph(args.ontology1)
     g2 = _load_graph(args.ontology2)
-    if not Path(args.reference).exists():
-        raise OntologyError(f"no such file: {args.reference}")
-    reference = load_reference(args.reference)
+    reference = load_reference(_require_file(args.reference))
     rows = compare(g1, g2, reference, cfg.sim_config(), cfg.solver_config(),
                    cfg.min_confidence, case=args.case)
+    for row in rows:
+        _warn_unconverged(f"the {row.mode} solve", row)
     _emit(comparison_csv(rows), args.output)
     return EXIT_OK
 

@@ -18,10 +18,9 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
-
-from .chain import PairState
 
 
 @dataclass(frozen=True)
@@ -64,25 +63,13 @@ class Alignment:
                 raise ValueError(f"confidence out of [0, 1]: {c}")
 
 
-def to_matrix(dist: np.ndarray, states: list[PairState]) -> ScoreMatrix:
-    """Reshape a pair distribution into a matrix rescaled to peak 1.0."""
+def to_matrix(dist: np.ndarray, rows: Sequence[str], cols: Sequence[str]) -> ScoreMatrix:
+    """Reshape a pair distribution over ``rows`` x ``cols`` into a matrix
+    rescaled to peak 1.0."""
     dist = np.asarray(dist, dtype=float)
-    if dist.shape != (len(states),):
+    if dist.shape != (len(rows) * len(cols),):
         raise ValueError("distribution length must match the state count")
-    states = sorted(states, key=lambda s: s.index)
-    rows: list[str] = []
-    cols: list[str] = []
-    for s in states:
-        if not rows or s.left != rows[-1]:
-            rows.append(s.left)
-        if s.left == states[0].left:
-            cols.append(s.right)
-    m, n = len(rows), len(cols)
-    if m * n != len(states):
-        raise ValueError("states do not enumerate a full cross product")
-    values = np.empty((m, n))
-    for s in states:
-        values[s.index // n, s.index % n] = dist[s.index]
+    values = dist.reshape(len(rows), len(cols))
     peak = values.max()
     if peak <= 0.0:
         raise ValueError("cannot build a score matrix from an all-zero distribution")
@@ -188,13 +175,14 @@ def hungarian_max(mat) -> list[tuple[int, int]]:
 
 def refine(
     dist: np.ndarray,
-    states: list[PairState],
+    rows: Sequence[str],
+    cols: Sequence[str],
     min_confidence: float = 0.0,
     metadata: dict | None = None,
 ) -> Alignment:
-    """Match the rescaled score matrix and keep pairs scoring at least
-    ``min_confidence``."""
-    matrix = to_matrix(dist, states)
+    """Match the rescaled score matrix of a distribution over ``rows`` x
+    ``cols`` and keep pairs scoring at least ``min_confidence``."""
+    matrix = to_matrix(dist, rows, cols)
     correspondences = []
     for r, c in hungarian_max(matrix.values):
         score = float(matrix.values[r, c])

@@ -113,18 +113,6 @@ def _make_graph(terms: list[Term], edges: list[LabeledEdge]) -> OntologyGraph:
     return OntologyGraph(terms=by_id, edges=edges)
 
 
-def label_set(g: OntologyGraph, x: str, x2: str) -> set[str]:
-    """All labels of edges (object or hierarchy) from term ``x`` to ``x2``.
-
-    Empty set when no edge exists. Raises ``KeyError`` for unknown ids.
-    """
-    if x not in g.terms:
-        raise KeyError(f"unknown term id {x!r}")
-    if x2 not in g.terms:
-        raise KeyError(f"unknown term id {x2!r}")
-    return set(g.adjacency.get((x, x2), set()))
-
-
 def _edge_from_json(obj: dict, index: int) -> LabeledEdge:
     try:
         source = obj["from"]

@@ -65,5 +65,5 @@ def align(
         "iterations": result.iterations,
         "converged": result.converged,
     }
-    alignment = refine(result.distribution, chain.states, min_confidence, metadata)
+    alignment = refine(result.distribution, g1.term_ids, g2.term_ids, min_confidence, metadata)
     return alignment, result

@@ -3,9 +3,11 @@ from __future__ import annotations
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
+from scipy import sparse
 
-from chainalign.chain import PairState, PairwiseChain
+from chainalign.chain import EDGE_CONFIDENCE, PairwiseChain
 from chainalign.ontology import LabeledEdge, OntologyGraph, Term, load_ontology
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -51,14 +53,25 @@ def zoo() -> OntologyGraph:
     return load_ontology(DATA_DIR / "zoo.json")
 
 
-def _states(n: int) -> list[PairState]:
-    return [PairState(left=f"s{i}", right=f"s{i}", index=i) for i in range(n)]
+def dense_chain(matrix, stochastic: bool = True, mode: str = EDGE_CONFIDENCE) -> PairwiseChain:
+    """Chain from a dense square matrix; zeros are not stored."""
+    return PairwiseChain(sparse.csr_matrix(np.asarray(matrix, dtype=float)), stochastic, mode)
 
 
-def chain_from_rows(rows, stochastic: bool = False, mode: str = "edge-confidence") -> PairwiseChain:
+def chain_from_rows(rows, stochastic: bool = False, mode: str = EDGE_CONFIDENCE) -> PairwiseChain:
     """Chain whose row i lists ``(column, weight)`` pairs sorted by column."""
-    return PairwiseChain(states=_states(len(rows)), transitions=[list(r) for r in rows],
-                         stochastic=stochastic, mode=mode)
+    indptr = np.cumsum([0] + [len(r) for r in rows])
+    cols = [c for r in rows for c, _ in r]
+    weights = [w for r in rows for _, w in r]
+    matrix = sparse.csr_matrix((np.array(weights, dtype=float), np.array(cols, dtype=np.int32),
+                                indptr), shape=(len(rows), len(rows)))
+    return PairwiseChain(matrix, stochastic, mode)
+
+
+def support(chain) -> set[tuple[int, int]]:
+    """All (row, column) positions that carry a transition."""
+    rows, cols = chain.matrix.nonzero()
+    return set(zip(rows.tolist(), cols.tolist()))
 
 
 def random_raw_chain(rng: random.Random, max_states: int = 20) -> PairwiseChain:
@@ -69,7 +82,7 @@ def random_raw_chain(rng: random.Random, max_states: int = 20) -> PairwiseChain:
         k = rng.randint(0, min(n, 4))
         cols = sorted(rng.sample(range(n), k))
         transitions.append([(c, rng.uniform(0.05, 5.0)) for c in cols])
-    return PairwiseChain(states=_states(n), transitions=transitions, stochastic=False)
+    return chain_from_rows(transitions)
 
 
 def random_stochastic_chain(
@@ -86,4 +99,4 @@ def random_stochastic_chain(
         weights = [rng.uniform(0.05, 1.0) for _ in cols]
         total = sum(weights)
         transitions.append([(c, w / total) for c, w in zip(cols, weights)])
-    return PairwiseChain(states=_states(n), transitions=transitions, stochastic=True)
+    return chain_from_rows(transitions, stochastic=True)

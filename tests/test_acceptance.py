@@ -38,7 +38,15 @@ from chainalign.ontology import load_ontology
 from chainalign.pipeline import align
 
 from benchcases import make_perturbation_case
-from conftest import DATA_DIR, FIXTURE_FILES, make_graph, random_raw_chain
+from conftest import (
+    DATA_DIR,
+    FIXTURE_FILES,
+    chain_from_rows,
+    dense_chain,
+    make_graph,
+    random_raw_chain,
+    support,
+)
 from oracles import brute_force_assignment, levenshtein_memoized, levenshtein_recursive
 
 
@@ -55,20 +63,16 @@ def all_strings(alphabet: str, max_len: int) -> list[str]:
 
 
 def dense_random_chain(rng: random.Random, n: int):
-    from chainalign.chain import chain_from_matrix
-
     rows = []
     for _ in range(n):
         weights = [rng.uniform(0.05, 1.0) for _ in range(n)]
         total = sum(weights)
         rows.append([w / total for w in weights])
-    return chain_from_matrix(rows)
+    return dense_chain(rows)
 
 
 def ring_random_chain(rng: random.Random, n: int):
     """Sparse rows plus a ring edge per row, so the chain stays irreducible."""
-    from chainalign.chain import PairwiseChain, PairState
-
     transitions = []
     for i in range(n):
         cols = {(i + 1) % n} | set(rng.sample(range(n), rng.randint(0, min(n, 3))))
@@ -76,8 +80,7 @@ def ring_random_chain(rng: random.Random, n: int):
         weights = [rng.uniform(0.05, 1.0) for _ in cols]
         total = sum(weights)
         transitions.append([(c, w / total) for c, w in zip(cols, weights)])
-    states = [PairState(left=f"s{i}", right=f"s{i}", index=i) for i in range(n)]
-    return PairwiseChain(states=states, transitions=transitions, stochastic=True)
+    return chain_from_rows(transitions, stochastic=True)
 
 
 def test_c01_levenshtein_oracle_equivalence():
@@ -165,9 +168,7 @@ def test_c04_solver_agreement():
 
 
 def test_c05_hand_solved_chain():
-    from chainalign.chain import chain_from_matrix
-
-    chain = chain_from_matrix([[0.9, 0.1], [0.5, 0.5]])
+    chain = dense_chain([[0.9, 0.1], [0.5, 0.5]])
     expected = [5 / 6, 1 / 6]  # balance equation: 0.1 pi_0 = 0.5 pi_1
     it = iterate(chain, np.array([0.5, 0.5]), SolverConfig(epsilon=1e-12))
     ss = steady_state(chain)
@@ -218,14 +219,13 @@ def test_c08_baseline_reduction():
 
     for g1, g2 in graph_pairs:
         exact = SimilarityConfig(gamma=1.0)
-        assert (
-            build_upmc(g1, g2, exact, EDGE_CONFIDENCE).support()
-            == build_upmc(g1, g2, exact, BASELINE_SF).support()
+        assert support(build_upmc(g1, g2, exact, EDGE_CONFIDENCE)) == support(
+            build_upmc(g1, g2, exact, BASELINE_SF)
         )
         for gamma in (0.25, 0.5, 0.75):
             loose = SimilarityConfig(gamma=gamma)
-            sf = build_upmc(g1, g2, loose, BASELINE_SF).support()
-            ec = build_upmc(g1, g2, loose, EDGE_CONFIDENCE).support()
+            sf = support(build_upmc(g1, g2, loose, BASELINE_SF))
+            ec = support(build_upmc(g1, g2, loose, EDGE_CONFIDENCE))
             assert sf <= ec
     passed(8, "baseline-reduction")
 

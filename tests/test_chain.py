@@ -2,6 +2,7 @@ import random
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from chainalign.chain import (
     BASELINE_SF,
@@ -10,7 +11,6 @@ from chainalign.chain import (
     SolverConfig,
     SolverError,
     build_upmc,
-    chain_from_matrix,
     ergodic_transform,
     initial_distribution,
     iterate,
@@ -19,32 +19,34 @@ from chainalign.chain import (
 )
 from chainalign.lexical import SimilarityConfig
 
-from conftest import chain_from_rows, make_graph, random_raw_chain, random_stochastic_chain
+from conftest import (
+    chain_from_rows,
+    dense_chain,
+    make_graph,
+    random_raw_chain,
+    random_stochastic_chain,
+    support,
+)
 from oracles import damp_rows, normalize_rows
 
 
-def transition_map(chain):
+def transition_map(chain, g1, g2):
     """{(left, right) -> {(left', right'): weight}} for readable assertions."""
-    out = {}
-    for s in chain.states:
-        row = chain.transitions[s.index]
-        out[(s.left, s.right)] = {
-            (chain.states[c].left, chain.states[c].right): w for c, w in row
-        }
-    return out
+    pairs = [(x, y) for x in g1.term_ids for y in g2.term_ids]
+    return {pairs[i]: {pairs[c]: w for c, w in row} for i, row in enumerate(chain.transitions)}
 
 
 class TestBuildUpmc:
     def test_figure_pair_transitions_from_a_d(self, figure_left, figure_right):
         chain = build_upmc(figure_left, figure_right, SimilarityConfig())
-        tmap = transition_map(chain)
+        tmap = transition_map(chain, figure_left, figure_right)
         # single-character labels all pass gamma = 0.5; (A,D) reaches
         # exactly the two states allowed by the edge pairs (m,m') and (m,p)
         assert set(tmap[("A", "D")]) == {("B", "E"), ("B", "F")}
 
     def test_transition_requires_edges_on_both_sides(self, figure_left, figure_right):
         chain = build_upmc(figure_left, figure_right, SimilarityConfig())
-        tmap = transition_map(chain)
+        tmap = transition_map(chain, figure_left, figure_right)
         assert tmap[("A", "F")] == {("B", "D"): 2.0}  # sigma(m, o') = 1/2
         assert tmap[("C", "E")] == {("A", "F"): 2.0}  # sigma(o, n') = 1/2
 
@@ -62,10 +64,9 @@ class TestBuildUpmc:
     def test_states_enumerate_cross_product(self, figure_left, figure_right):
         chain = build_upmc(figure_left, figure_right)
         assert len(chain) == 9
-        assert [(s.left, s.right) for s in chain.states] == [
-            (x, y) for x in "ABC" for y in "DEF"
-        ]
-        assert [s.index for s in chain.states] == list(range(9))
+        assert chain.matrix.shape == (9, 9)
+        # (A, D) -> (B, E) sits at row 0 * 3 + 0, column 1 * 3 + 1
+        assert chain.matrix[0, 4] > 0
 
     def test_empty_graph_rejected(self, figure_left):
         with pytest.raises(ValueError, match="at least one term"):
@@ -75,25 +76,25 @@ class TestBuildUpmc:
         cfg = SimilarityConfig(gamma=1.0)
         ec = build_upmc(zoo, zoo, cfg, EDGE_CONFIDENCE)
         sf = build_upmc(zoo, zoo, cfg, BASELINE_SF)
-        assert ec.support() == sf.support()
+        assert support(ec) == support(sf)
 
     @pytest.mark.parametrize("gamma", [0.25, 0.5, 0.75, 1.0])
     def test_baseline_support_subset_of_edge_confidence(self, zoo, gamma):
         cfg = SimilarityConfig(gamma=gamma)
         ec = build_upmc(zoo, zoo, cfg, EDGE_CONFIDENCE)
         sf = build_upmc(zoo, zoo, cfg, BASELINE_SF)
-        assert sf.support() <= ec.support()
+        assert support(sf) <= support(ec)
 
 
 class TestNormalize:
     def test_formula_mode_hand_example(self):
-        chain = chain_from_matrix([[0, 2, 4], [0, 0, 0], [0, 0, 0]], stochastic=False)
+        chain = dense_chain([[0, 2, 4], [0, 0, 0], [0, 0, 0]], stochastic=False)
         result = normalize(chain, "formula")
         # M = 1/2 + 1/4 = 3/4; T = [1/4, 1/2]; shares [1/3, 2/3]
         assert result.transitions[0] == [(1, pytest.approx(1 / 3)), (2, pytest.approx(2 / 3))]
 
     def test_complement_mode_hand_example(self):
-        chain = chain_from_matrix([[0, 2, 4], [0, 0, 0], [0, 0, 0]], stochastic=False)
+        chain = dense_chain([[0, 2, 4], [0, 0, 0], [0, 0, 0]], stochastic=False)
         result = normalize(chain, "complement")
         # complements of [2, 4] against their sum 6: [4, 2]; shares [2/3, 1/3]
         assert result.transitions[0] == [(1, pytest.approx(2 / 3)), (2, pytest.approx(1 / 3))]
@@ -101,22 +102,22 @@ class TestNormalize:
     def test_complement_favors_similar_edges(self):
         # weight 1 is an exact label match, weight 2 a weaker one: the
         # exact match must end up with the larger transition probability
-        chain = chain_from_matrix([[0, 1, 2], [0, 0, 0], [0, 0, 0]], stochastic=False)
+        chain = dense_chain([[0, 1, 2], [0, 0, 0], [0, 0, 0]], stochastic=False)
         row = normalize(chain, "complement").transitions[0]
         assert row[0][1] > row[1][1]
 
     def test_single_entry_row_gets_weight_one(self):
-        chain = chain_from_matrix([[0, 3.7], [0, 0]], stochastic=False)
+        chain = dense_chain([[0, 3.7], [0, 0]], stochastic=False)
         result = normalize(chain)
         assert result.transitions[0] == [(1, 1.0)]
 
     def test_empty_row_becomes_self_loop(self):
-        chain = chain_from_matrix([[0, 1], [0, 0]], stochastic=False)
+        chain = dense_chain([[0, 1], [0, 0]], stochastic=False)
         result = normalize(chain)
         assert result.transitions[1] == [(1, 1.0)]
 
     def test_baseline_rows_normalize_uniformly(self):
-        chain = chain_from_matrix(
+        chain = dense_chain(
             [[0, 1, 1, 1], [0] * 4, [0] * 4, [0] * 4],
             stochastic=False,
             mode=BASELINE_SF,
@@ -128,19 +129,18 @@ class TestNormalize:
         ]
 
     def test_already_stochastic_rejected(self):
-        chain = chain_from_matrix([[1.0]], stochastic=True)
+        chain = dense_chain([[1.0]], stochastic=True)
         with pytest.raises(ValueError, match="already stochastic"):
             normalize(chain)
 
     def test_negative_weight_rejected_at_construction(self):
         with pytest.raises(ValueError, match="positive"):
-            chain_from_matrix([[0, -1], [0, 0]], stochastic=False)
+            dense_chain([[0, -1], [0, 0]], stochastic=False)
 
     def test_extreme_weight_ratio_drops_cancelled_share(self):
         # (5 + 1e-300) - 5 cancels to exactly 0.0; the zero share must be
         # dropped, not stored, and the row must still sum to 1
-        chain = chain_from_matrix([[0, 5.0, 1e-300], [0, 0, 0], [0, 0, 0]],
-                                  stochastic=False)
+        chain = dense_chain([[0, 5.0, 1e-300], [0, 0, 0], [0, 0, 0]], stochastic=False)
         row = normalize(chain, "complement").transitions[0]
         assert row == [(2, 1.0)]
 
@@ -156,26 +156,26 @@ class TestNormalize:
 
 class TestErgodicTransform:
     def test_half_damping_of_swap_chain(self):
-        chain = chain_from_matrix([[0, 1], [1, 0]])
+        chain = dense_chain([[0, 1], [1, 0]])
         result = ergodic_transform(chain, 0.5)
-        assert result.to_dense() == pytest.approx(np.array([[0.5, 0.5], [0.5, 0.5]]))
+        assert result.matrix.toarray() == pytest.approx(np.array([[0.5, 0.5], [0.5, 0.5]]))
 
     def test_a_equal_one_returns_chain_unchanged(self):
-        chain = chain_from_matrix([[0, 1], [1, 0]])
+        chain = dense_chain([[0, 1], [1, 0]])
         assert ergodic_transform(chain, 1.0) is chain
 
     def test_identity_is_fixed_point(self):
-        chain = chain_from_matrix([[1, 0], [0, 1]])
-        assert ergodic_transform(chain, 0.3).to_dense() == pytest.approx(np.eye(2))
+        chain = dense_chain([[1, 0], [0, 1]])
+        assert ergodic_transform(chain, 0.3).matrix.toarray() == pytest.approx(np.eye(2))
 
     @pytest.mark.parametrize("a", [0.0, -0.5, 1.5])
     def test_a_out_of_range(self, a):
-        chain = chain_from_matrix([[1.0]])
+        chain = dense_chain([[1.0]])
         with pytest.raises(ValueError, match="a must lie"):
             ergodic_transform(chain, a)
 
     def test_requires_stochastic_chain(self):
-        chain = chain_from_matrix([[0, 2], [2, 0]], stochastic=False)
+        chain = dense_chain([[0, 2], [2, 0]], stochastic=False)
         with pytest.raises(ValueError, match="stochastic"):
             ergodic_transform(chain, 0.85)
 
@@ -224,7 +224,7 @@ class TestInitialDistribution:
 
 class TestIterate:
     def test_identity_chain_returns_pi0_after_one_step(self):
-        chain = chain_from_matrix(np.eye(3))
+        chain = dense_chain(np.eye(3))
         pi0 = np.array([0.2, 0.3, 0.5])
         result = iterate(chain, pi0)
         assert result.iterations == 1
@@ -232,18 +232,18 @@ class TestIterate:
         assert result.distribution == pytest.approx(pi0)
 
     def test_hand_solved_two_state_chain(self):
-        chain = chain_from_matrix([[0.9, 0.1], [0.5, 0.5]])
+        chain = dense_chain([[0.9, 0.1], [0.5, 0.5]])
         result = iterate(chain, np.array([0.5, 0.5]), SolverConfig(epsilon=1e-12))
         assert result.converged
         assert result.distribution == pytest.approx([5 / 6, 1 / 6], abs=1e-9)
 
     def test_symmetric_chain_goes_uniform(self):
-        chain = chain_from_matrix([[0.5, 0.5], [0.5, 0.5]])
+        chain = dense_chain([[0.5, 0.5], [0.5, 0.5]])
         result = iterate(chain, np.array([0.9, 0.1]))
         assert result.distribution == pytest.approx([0.5, 0.5], abs=1e-9)
 
     def test_requires_stochastic_chain(self):
-        chain = chain_from_matrix([[0, 2], [2, 0]], stochastic=False)
+        chain = dense_chain([[0, 2], [2, 0]], stochastic=False)
         with pytest.raises(ValueError, match="stochastic"):
             iterate(chain, np.array([0.5, 0.5]))
 
@@ -258,7 +258,7 @@ class TestIterate:
 
     def test_unconverged_run_reports_flag(self):
         # period-2 swap chain never settles without damping
-        chain = chain_from_matrix([[0, 1], [1, 0]])
+        chain = dense_chain([[0, 1], [1, 0]])
         result = iterate(chain, np.array([0.9, 0.1]), SolverConfig(max_iters=50))
         assert not result.converged
         assert result.iterations == 50
@@ -266,16 +266,16 @@ class TestIterate:
 
 class TestSteadyState:
     def test_hand_solved_two_state_chain(self):
-        chain = chain_from_matrix([[0.9, 0.1], [0.5, 0.5]])
+        chain = dense_chain([[0.9, 0.1], [0.5, 0.5]])
         result = steady_state(chain)
         assert result.distribution == pytest.approx([5 / 6, 1 / 6], abs=1e-9)
 
     def test_symmetric_chain_goes_uniform(self):
-        chain = chain_from_matrix([[0.5, 0.5], [0.5, 0.5]])
+        chain = dense_chain([[0.5, 0.5], [0.5, 0.5]])
         assert steady_state(chain).distribution == pytest.approx([0.5, 0.5], abs=1e-9)
 
     def test_identity_chain_falls_back_to_uniform(self):
-        chain = chain_from_matrix(np.eye(4))
+        chain = dense_chain(np.eye(4))
         damped = ergodic_transform(chain, 0.85)
         assert steady_state(damped).distribution == pytest.approx([0.25] * 4)
 
@@ -298,11 +298,11 @@ class TestSteadyState:
             total = sum(weights)
             for w, part in zip(weights, parts):
                 mat += (w / total) * part
-            pi = steady_state(chain_from_matrix(mat)).distribution
+            pi = steady_state(dense_chain(mat)).distribution
             assert pi == pytest.approx([1.0 / n] * n, abs=1e-9)
 
-    def test_reducible_chain_raises_with_damping_hint(self):
-        blocks = chain_from_matrix(
+    def test_reducible_chain_raises_with_iterative_remedy(self):
+        blocks = dense_chain(
             [
                 [0.5, 0.5, 0, 0],
                 [0.5, 0.5, 0, 0],
@@ -310,11 +310,15 @@ class TestSteadyState:
                 [0, 0, 0.5, 0.5],
             ]
         )
-        with pytest.raises(SolverError, match="damping"):
+        with pytest.raises(SolverError) as info:
             steady_state(blocks)
+        message = str(info.value)
+        assert "several closed classes" in message and "not unique" in message
+        assert 'method="iterative"' in message and "--method iterative" in message
+        assert "damping" not in message
 
     def test_requires_stochastic_chain(self):
-        chain = chain_from_matrix([[0, 2], [2, 0]], stochastic=False)
+        chain = dense_chain([[0, 2], [2, 0]], stochastic=False)
         with pytest.raises(ValueError, match="stochastic"):
             steady_state(chain)
 
@@ -344,17 +348,33 @@ class TestSolverAgreement:
 
 class TestChainValidation:
     def test_duplicate_columns_rejected(self):
-        states = chain_from_matrix([[1.0]]).states
         with pytest.raises(ValueError, match="sorted and unique"):
-            PairwiseChain(states=states, transitions=[[(0, 0.5), (0, 0.5)]], stochastic=True)
+            chain_from_rows([[(0, 0.5), (0, 0.5)]], stochastic=True)
+
+    def test_unsorted_columns_rejected(self):
+        with pytest.raises(ValueError, match="sorted and unique"):
+            chain_from_rows([[(1, 0.5), (0, 0.5)], [(1, 1.0)]], stochastic=True)
+
+    def test_column_out_of_range_rejected(self):
+        with pytest.raises(ValueError, match="out of range"):
+            chain_from_rows([[(1, 1.0)]], stochastic=True)
+
+    def test_non_square_matrix_rejected(self):
+        with pytest.raises(ValueError, match="square"):
+            PairwiseChain(sparse.csr_matrix(np.ones((2, 3))))
 
     def test_bad_row_sum_rejected_when_stochastic(self):
-        with pytest.raises(ValueError, match="sums to"):
-            chain_from_matrix([[0.5]], stochastic=True)
+        with pytest.raises(ValueError, match="row 1: stochastic row sums to 0.5"):
+            dense_chain([[1.0, 0], [0, 0.5]], stochastic=True)
 
-    def test_support_reports_all_positions(self):
-        chain = chain_from_matrix([[0.5, 0.5], [0, 1.0]])
-        assert chain.support() == {(0, 0), (0, 1), (1, 1)}
+    def test_empty_row_rejected_when_stochastic(self):
+        with pytest.raises(ValueError, match="sums to"):
+            dense_chain([[0, 1.0], [0, 0]], stochastic=True)
+
+    def test_transitions_read_rows_as_python_numbers(self):
+        chain = dense_chain([[0.5, 0.5], [0, 1.0]])
+        assert chain.transitions == [[(0, 0.5), (1, 0.5)], [(1, 1.0)]]
+        assert all(type(c) is int and type(w) is float for row in chain.transitions for c, w in row)
 
 
 class TestNormalizationOracle:

@@ -54,6 +54,24 @@ class TestAlign:
         assert code == 0
         assert json.loads(out)["correspondences"]
 
+    def test_unconverged_solve_warns_and_exits_0(self, capsys):
+        # birds x zoo share no edge label, so its chain is the identity and
+        # converges in one step; zoo x zoo needs dozens of iterations
+        code, out, err = run(capsys, "align", ZOO, ZOO, "--max-iters", "1")
+        assert code == 0
+        assert json.loads(out)["metadata"]["converged"] is False
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("chainalign: warning: ")
+        assert "1 iterations" in lines[0]
+        assert "--max-iters" in lines[0] and "--epsilon" in lines[0]
+
+    @pytest.mark.parametrize("pair", [(BIRDS, ZOO), (ZOO, ZOO)])
+    def test_default_run_prints_nothing_on_stderr(self, capsys, pair):
+        code, _, err = run(capsys, "align", *pair)
+        assert code == 0
+        assert err == ""
+
     def test_output_file(self, capsys, tmp_path):
         out_path = tmp_path / "alignment.json"
         code, _, _ = run(capsys, "align", BIRDS, BIRDS, "-o", str(out_path))
@@ -99,6 +117,15 @@ class TestCompare:
         assert len(lines) == 3
         assert lines[1].startswith("self,baseline-sf,")
         assert lines[2].startswith("self,edge-confidence,")
+
+    def test_one_warning_per_unconverged_solve(self, capsys, tmp_path):
+        ref = write_identity_reference(tmp_path, "zoo.json")
+        code, _, err = run(capsys, "compare", ZOO, ZOO, ref, "--max-iters", "1")
+        assert code == 0
+        lines = err.splitlines()
+        assert len(lines) == 2
+        assert all(l.startswith("chainalign: warning: ") for l in lines)
+        assert "baseline-sf" in lines[0] and "edge-confidence" in lines[1]
 
     def test_byte_identical_between_runs(self, capsys, tmp_path):
         ref = write_identity_reference(tmp_path, "zoo.json")
@@ -157,7 +184,8 @@ class TestSolverFailure:
         code, _, err = run(capsys, "align", str(cycle), str(cycle),
                            "--method", "steady-state")
         assert code == 3
-        assert "damping" in err
+        assert "several closed classes" in err
+        assert "--method iterative" in err
 
     def test_same_input_succeeds_with_iterative_solver(self, capsys, tmp_path):
         cycle = tmp_path / "cycle.txt"

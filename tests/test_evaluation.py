@@ -20,7 +20,7 @@ from chainalign.lexical import SimilarityConfig
 from chainalign.ontology import to_json_dict
 
 from benchcases import make_base_ontology, make_perturbation_case
-from conftest import make_graph
+from conftest import make_graph, support
 
 RETURNED = {("a", "a"), ("b", "b"), ("c", "c")}
 VALID = {("a", "a"), ("b", "b"), ("d", "d"), ("e", "e")}
@@ -164,7 +164,7 @@ class TestCompare:
             cfg = SimilarityConfig()
             sf = build_upmc(base, mutant, cfg, "baseline-sf")
             ec = build_upmc(base, mutant, cfg, "edge-confidence")
-            assert sf.support() <= ec.support()
+            assert support(sf) <= support(ec)
 
 
 class TestSynthMutate:

@@ -3,7 +3,6 @@ import random
 import numpy as np
 import pytest
 
-from chainalign.chain import PairState
 from chainalign.matching import (
     Alignment,
     Correspondence,
@@ -19,40 +18,37 @@ from chainalign.matching import (
 from oracles import brute_force_assignment, greedy_row_assignment_total
 
 
-def states_for(m, n):
-    return [
-        PairState(left=f"L{i}", right=f"R{j}", index=i * n + j)
-        for i in range(m)
-        for j in range(n)
-    ]
+def ids_for(m, n):
+    """Row and column term ids of an m x n score matrix."""
+    return [f"L{i}" for i in range(m)], [f"R{j}" for j in range(n)]
 
 
 class TestToMatrix:
     def test_single_state(self):
-        mat = to_matrix(np.array([1.0]), states_for(1, 1))
+        mat = to_matrix(np.array([1.0]), *ids_for(1, 1))
         assert mat.values.tolist() == [[1.0]]
 
     def test_rescaled_by_max(self):
-        mat = to_matrix(np.array([0.4, 0.1, 0.1, 0.4]), states_for(2, 2))
+        mat = to_matrix(np.array([0.4, 0.1, 0.1, 0.4]), *ids_for(2, 2))
         assert mat.values.tolist() == [[1.0, 0.25], [0.25, 1.0]]
 
     def test_all_equal_values_give_all_ones(self):
-        mat = to_matrix(np.full(6, 1 / 6), states_for(2, 3))
+        mat = to_matrix(np.full(6, 1 / 6), *ids_for(2, 3))
         assert mat.values.tolist() == [[1.0] * 3, [1.0] * 3]
 
     def test_row_and_column_ids(self):
-        mat = to_matrix(np.arange(1.0, 7.0), states_for(2, 3))
+        mat = to_matrix(np.arange(1.0, 7.0), *ids_for(2, 3))
         assert mat.rows == ("L0", "L1")
         assert mat.cols == ("R0", "R1", "R2")
         assert mat.values[1, 2] == 1.0  # the max cell
 
     def test_all_zero_distribution_rejected(self):
         with pytest.raises(ValueError, match="all-zero"):
-            to_matrix(np.zeros(4), states_for(2, 2))
+            to_matrix(np.zeros(4), *ids_for(2, 2))
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="match the state count"):
-            to_matrix(np.ones(3), states_for(2, 2))
+            to_matrix(np.ones(3), *ids_for(2, 2))
 
 
 class TestHungarianMax:
@@ -138,32 +134,32 @@ class TestHungarianMax:
 class TestRefine:
     def test_hand_example_confidences(self):
         dist = np.array([0.9, 0.1, 0.2, 0.8]) / 2.0
-        alignment = refine(dist, states_for(2, 2), min_confidence=0.0)
+        alignment = refine(dist, *ids_for(2, 2), min_confidence=0.0)
         assert alignment.pairs() == {("L0", "R0"), ("L1", "R1")}
         confidences = [c.confidence for c in alignment.correspondences]
         assert confidences == pytest.approx([1.0, 0.8 / 0.9])
 
     def test_min_confidence_drops_weak_pairs(self):
         dist = np.array([0.9, 0.1, 0.2, 0.8]) / 2.0
-        alignment = refine(dist, states_for(2, 2), min_confidence=0.95)
+        alignment = refine(dist, *ids_for(2, 2), min_confidence=0.95)
         assert alignment.pairs() == {("L0", "R0")}
 
     def test_min_confidence_one_keeps_only_peak_pairs(self):
         dist = np.array([0.9, 0.1, 0.2, 0.8]) / 2.0
-        alignment = refine(dist, states_for(2, 2), min_confidence=1.0)
+        alignment = refine(dist, *ids_for(2, 2), min_confidence=1.0)
         assert alignment.pairs() == {("L0", "R0")}
 
     def test_one_to_one_on_rectangular_input(self):
         rng = random.Random(13)
         dist = np.array([rng.random() for _ in range(12)])
-        alignment = refine(dist / dist.sum(), states_for(3, 4))
+        alignment = refine(dist / dist.sum(), *ids_for(3, 4))
         sources = [c.source for c in alignment.correspondences]
         targets = [c.target for c in alignment.correspondences]
         assert len(sources) == len(set(sources)) == 3
         assert len(targets) == len(set(targets))
 
     def test_metadata_carried_through(self):
-        alignment = refine(np.array([1.0]), states_for(1, 1), metadata={"gamma": 0.5})
+        alignment = refine(np.array([1.0]), *ids_for(1, 1), metadata={"gamma": 0.5})
         assert alignment.metadata == {"gamma": 0.5}
 
 

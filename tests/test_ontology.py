@@ -8,7 +8,6 @@ from chainalign.ontology import (
     OntologyError,
     OntologyGraph,
     Term,
-    label_set,
     load_ontology,
     save_ontology,
     to_json_dict,
@@ -54,7 +53,7 @@ class TestLoadJson:
         )
         g = load_ontology(path)
         assert g.edges[0].label == "subClassOf"
-        assert label_set(g, "A", "B") == {"subClassOf"}
+        assert g.adjacency[("A", "B")] == {"subClassOf"}
 
     def test_parse_error_reports_position(self, tmp_path):
         path = write(tmp_path, "g.json", '{"terms": [}')
@@ -131,27 +130,25 @@ class TestLoadTriples:
 
 
 class TestLabelSet:
+    """``adjacency`` maps each connected (source, target) pair to its label set."""
+
     def test_figure_left_single_edge(self, figure_left):
-        assert label_set(figure_left, "A", "B") == {"m"}
+        assert figure_left.adjacency[("A", "B")] == {"m"}
 
     def test_no_edge_gives_empty_set(self, figure_left):
-        assert label_set(figure_left, "B", "A") == set()
+        assert ("B", "A") not in figure_left.adjacency
 
     def test_figure_right_chord_and_back_edge(self, figure_right):
-        assert label_set(figure_right, "D", "F") == {"p"}
-        assert label_set(figure_right, "F", "D") == {"o'"}
-
-    def test_unknown_term_raises(self, figure_left):
-        with pytest.raises(KeyError):
-            label_set(figure_left, "A", "Z")
+        assert figure_right.adjacency[("D", "F")] == {"p"}
+        assert figure_right.adjacency[("F", "D")] == {"o'"}
 
     def test_parallel_edges_with_distinct_labels(self):
         g = make_graph("AB", [("A", "B", "m"), ("A", "B", "n")])
-        assert label_set(g, "A", "B") == {"m", "n"}
+        assert g.adjacency[("A", "B")] == {"m", "n"}
 
     def test_every_edge_label_is_in_its_label_set(self, fixture_graph):
         for e in fixture_graph.edges:
-            assert e.label in label_set(fixture_graph, e.source, e.target)
+            assert e.label in fixture_graph.adjacency[(e.source, e.target)]
 
     def test_index_matches_linear_scan(self, fixture_graph):
         g = fixture_graph
@@ -160,7 +157,7 @@ class TestLabelSet:
                 scanned = {
                     e.label for e in g.edges if e.source == x and e.target == y
                 }
-                assert label_set(g, x, y) == scanned
+                assert g.adjacency.get((x, y), set()) == scanned
 
 
 class TestGraphInvariants:
