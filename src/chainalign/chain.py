@@ -41,18 +41,20 @@ before either solver.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 
-from .lexical import (
+# label_set_confidence and labels_share_exact_match are no longer called here;
+# they stay bound as chain attributes, which the benchmark's tracer wraps
+from .lexical import (  # noqa: F401
     SimilarityConfig,
-    edit_similarity,
     label_set_confidence,
     labels_share_exact_match,
+    levenshtein_matrix,
     normalize_label,
+    similarity_of_distance,
 )
 from .ontology import OntologyGraph
 
@@ -160,57 +162,100 @@ class SolveResult:
     method: str
 
 
+def _distinct(labels: list[str]) -> tuple[list[str], np.ndarray]:
+    """The distinct labels in first-seen order, and each label's index among them."""
+    ids: dict[str, int] = {}
+    inverse = [ids.setdefault(s, len(ids)) for s in labels]
+    return list(ids), np.array(inverse, dtype=np.intp)
+
+
+def _edges(g: OntologyGraph, scale: int):
+    """Adjacency entries as arrays: source and target offsets (term index
+    times ``scale``) and label-set ids; and the label sets in id order."""
+    pos = {t: i for i, t in enumerate(g.term_ids)}
+    set_ids: dict[frozenset, int] = {}
+    src, dst, sid = [], [], []
+    for (x, x2), labels in g.adjacency.items():
+        src.append(pos[x] * scale)
+        dst.append(pos[x2] * scale)
+        sid.append(set_ids.setdefault(frozenset(labels), len(set_ids)))
+    return np.array(src), np.array(dst), np.array(sid, dtype=np.intp), list(set_ids)
+
+
+def _least_distances(sets1: list, sets2: list, cfg: SimilarityConfig) -> np.ndarray:
+    """Least edit distance between the normalized labels of every pair of label sets."""
+    def members(sets):
+        labels, ids = _distinct([normalize_label(label, cfg) for s in sets for label in s])
+        return labels, ids, np.cumsum([0] + [len(s) for s in sets[:-1]])
+
+    labels1, ids1, starts1 = members(sets1)
+    labels2, ids2, starts2 = members(sets2)
+    dist = levenshtein_matrix(labels1, labels2)
+    # minimum over each set's rows, then over each set's columns
+    dist = np.minimum.reduceat(dist[ids1], starts1, axis=0)
+    return np.minimum.reduceat(dist[:, ids2], starts2, axis=1)
+
+
+def _grouped(sid: np.ndarray, n_sets: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Entries ordered by label-set id, with each set's first position and size."""
+    order = np.argsort(sid, kind="stable")
+    counts = np.bincount(sid, minlength=n_sets)
+    return order, np.cumsum(counts) - counts, counts
+
+
 def build_upmc(
     g1: OntologyGraph,
     g2: OntologyGraph,
     cfg: SimilarityConfig | None = None,
     chain_mode: str = EDGE_CONFIDENCE,
 ) -> PairwiseChain:
-    """Construct the unnormalized pairwise chain for two ontologies."""
+    """Construct the unnormalized pairwise chain for two ontologies.
+
+    Every adjacency entry carries one label set, so the transitions are
+    blocks: each compatible (label set of g1, label set of g2) pair joins
+    all g1 entries with the first set to all g2 entries with the second,
+    at one weight. A pair's weight depends only on the least edit
+    distance d between their normalized labels, because sigma falls
+    strictly as d grows: ``label_set_confidence`` is 1/sigma(d) when
+    sigma(d) >= gamma, ``labels_share_exact_match`` is d == 0.
+    """
     cfg = cfg or SimilarityConfig()
     if chain_mode not in CHAIN_MODES:
         raise ValueError(f"chain_mode must be one of {CHAIN_MODES}, got {chain_mode!r}")
     if not g1.terms or not g2.terms:
         raise ValueError("both ontologies must contain at least one term")
 
-    n2 = len(g2.term_ids)
-    left_pos = {t: i for i, t in enumerate(g1.term_ids)}
-    right_pos = {t: j for j, t in enumerate(g2.term_ids)}
-
-    # sigma only depends on the label pair; score each (label set, label set)
-    # combination once.
-    pair_cache: dict[tuple[frozenset, frozenset], float] = {}
-
-    def pair_weight(labels1: frozenset, labels2: frozenset) -> float:
-        key = (labels1, labels2)
-        if key not in pair_cache:
-            if chain_mode == BASELINE_SF:
-                w = 1.0 if labels_share_exact_match(labels1, labels2, cfg) else 0.0
-            else:
-                w = label_set_confidence(labels1, labels2, cfg)
-            pair_cache[key] = w
-        return pair_cache[key]
-
     # an edge x -> x2 of g1 contributes i * n2 to the row and column indices,
     # an edge y -> y2 of g2 contributes j
-    edges1 = [(left_pos[x] * n2, left_pos[x2] * n2, frozenset(v))
-              for (x, x2), v in g1.adjacency.items()]
-    edges2 = [(right_pos[y], right_pos[y2], frozenset(v))
-              for (y, y2), v in g2.adjacency.items()]
-    rows: list[int] = []
-    cols: list[int] = []
-    weights: list[float] = []
-    for row1, col1, labels1 in edges1:
-        for row2, col2, labels2 in edges2:
-            w = pair_weight(labels1, labels2)
-            if w > 0.0:
-                rows.append(row1 + row2)
-                cols.append(col1 + col2)
-                weights.append(w)
+    n2 = len(g2.term_ids)
+    n = len(g1.term_ids) * n2
+    src1, dst1, sid1, sets1 = _edges(g1, n2)
+    src2, dst2, sid2, sets2 = _edges(g2, 1)
+    if not sets1 or not sets2:
+        return PairwiseChain(sparse.csr_matrix((n, n)), stochastic=False, mode=chain_mode)
+
+    dist = _least_distances(sets1, sets2, cfg)
+    if chain_mode == BASELINE_SF:
+        weight = np.where(dist == 0, 1.0, 0.0)
+    else:
+        sigma = similarity_of_distance(dist)
+        weight = np.where(sigma >= cfg.gamma, 1.0 / sigma, 0.0)
+
+    # one block of count1[s] * count2[t] triples per compatible pair (s, t)
+    s, t = np.nonzero(weight)
+    order1, first1, count1 = _grouped(sid1, len(sets1))
+    order2, first2, count2 = _grouped(sid2, len(sets2))
+    size = count1[s] * count2[t]
+    pair = np.repeat(np.arange(len(s)), size)
+    offset = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
+    width = count2[t][pair]
+    e1 = order1[first1[s][pair] + offset // width]
+    e2 = order2[first2[t][pair] + offset % width]
 
     # adjacency keys are unique on each side, so no (row, col) repeats
-    n = len(left_pos) * n2
-    matrix = sparse.csr_matrix((weights, (rows, cols)), shape=(n, n))
+    matrix = sparse.csr_matrix(
+        (weight[s, t][pair], (src1[e1] + src2[e2], dst1[e1] + dst2[e2])), shape=(n, n)
+    )
     return PairwiseChain(matrix, stochastic=False, mode=chain_mode)
 
 
@@ -270,20 +315,13 @@ def initial_distribution(
 ) -> np.ndarray:
     """Lexical starting point: state (x, y) weighted by sigma of the term labels."""
     cfg = cfg or SimilarityConfig()
-    labels1 = [g1.label(t) for t in g1.term_ids]
-    labels2 = [g2.label(t) for t in g2.term_ids]
-    if len(chain) != len(labels1) * len(labels2):
+    labels1, at1 = _distinct([normalize_label(g1.label(t), cfg) for t in g1.term_ids])
+    labels2, at2 = _distinct([normalize_label(g2.label(t), cfg) for t in g2.term_ids])
+    if len(chain) != len(at1) * len(at2):
         raise ValueError("chain states must be the cross product of the two ontologies' terms")
-    sigma_cache: dict[tuple[str, str], float] = {}
-
-    def sigma(key: tuple[str, str]) -> float:
-        if key not in sigma_cache:
-            sigma_cache[key] = edit_similarity(
-                normalize_label(key[0], cfg), normalize_label(key[1], cfg)
-            )
-        return sigma_cache[key]
-
-    values = np.array([sigma(key) for key in itertools.product(labels1, labels2)])
+    # state (i, j) at i * n2 + j: the row-major order of the gathered matrix
+    dist = levenshtein_matrix(labels1, labels2)[np.ix_(at1, at2)]
+    values = similarity_of_distance(dist.ravel())
     total = values.sum()
     if total <= 0.0:
         return np.full(len(values), 1.0 / len(values))

@@ -1,6 +1,12 @@
 """String-level similarity between edge labels.
 
-``levenshtein`` is the classic insert/delete/substitute edit distance.
+``levenshtein`` is the classic insert/delete/substitute edit distance of
+two strings. ``levenshtein_matrix`` gives the same distance for every
+pair of two label lists at once: the Wagner-Fischer recurrence (J. ACM,
+1974) run as one numpy step per character of the left-hand labels, over
+all pairs together, in blocks of left-hand labels that keep the working
+array near 2^18 int32 cells. The pipeline scores labels through the
+matrix form; the scalar one remains for single pairs.
 ``edit_similarity`` maps a distance L to a score in (0, 1]:
 
     1    if L = 0
@@ -16,6 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
+
+import numpy as np
 
 
 class LabelNorm(str, Enum):
@@ -64,6 +73,52 @@ def levenshtein(a: str, b: str) -> int:
     return previous[len(b)]
 
 
+# cells of the (rows, len(b), longest b + 1) working array per block of rows of a
+_BLOCK_CELLS = 1 << 18
+
+
+def _code_points(labels: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Code points of each label, right-padded with zeros, and the lengths."""
+    lengths = np.array([len(s) for s in labels], dtype=np.int64)
+    points = np.zeros((len(labels), int(lengths.max(initial=0))), dtype=np.int32)
+    for i, s in enumerate(labels):
+        points[i, :len(s)] = [ord(c) for c in s]
+    return points, lengths
+
+
+def levenshtein_matrix(a: Sequence[str], b: Sequence[str]) -> np.ndarray:
+    """``levenshtein(a[i], b[j])`` for every pair, as an int array of shape (len(a), len(b)).
+
+    Row k of the recurrence is computed for all pairs at once. Its
+    insertion term cur[j] = min(best[j], cur[j-1] + 1) unrolls to
+    j + min over j' <= j of (best[j'] - j'), a running minimum. Each pair's
+    distance is read at row len(a[i]), column len(b[j]), which depend on
+    no padded character, so the padding value does not matter.
+    """
+    out = np.empty((len(a), len(b)), dtype=np.int32)
+    if not len(a) or not len(b):
+        return out
+    points_b, len_b = _code_points(b)
+    cols = np.arange(points_b.shape[1] + 1, dtype=np.int32)
+    pairs = np.arange(len(b))
+    block = max(1, _BLOCK_CELLS // (len(b) * len(cols)))
+    for start in range(0, len(a), block):
+        points_a, len_a = _code_points(a[start:start + block])
+        rows = len(len_a)
+        dist = out[start:start + rows]
+        dist[len_a == 0] = len_b
+        prev = np.broadcast_to(cols, (rows, len(b), len(cols)))
+        best = np.empty((rows, len(b), len(cols)), dtype=np.int32)
+        for k in range(1, points_a.shape[1] + 1):
+            ch = points_a[:, k - 1, None, None]
+            best[..., 0] = k
+            np.minimum(prev[..., 1:] + 1, prev[..., :-1] + (points_b != ch), out=best[..., 1:])
+            prev = cols + np.minimum.accumulate(best - cols, axis=2)
+            done = len_a == k
+            dist[done] = prev[done][:, pairs, len_b]
+    return out
+
+
 def edit_similarity(a: str, b: str) -> float:
     """Similarity in (0, 1] derived from the edit distance."""
     dist = levenshtein(a, b)
@@ -72,6 +127,11 @@ def edit_similarity(a: str, b: str) -> float:
     if dist == 1:
         return 0.75
     return 1.0 / dist
+
+
+def similarity_of_distance(dist: np.ndarray) -> np.ndarray:
+    """``edit_similarity`` over an array of edit distances, as the same floats."""
+    return np.where(dist == 0, 1.0, np.where(dist == 1, 0.75, 1.0 / np.maximum(dist, 1)))
 
 
 def edge_confidence(a: str, b: str, cfg: SimilarityConfig | None = None) -> float:

@@ -6,17 +6,18 @@ best pair scores 1.0. Maximum-weight bipartite matching then selects one
 partner per term.
 
 The assignment solver is a shortest-augmenting-path implementation run
-over exact rational weights. Each cell carries a secondary integer
-tie-break key chosen so that, among all maximum-weight assignments, the
-one whose (row, col) list is lexicographically smallest wins. That makes
-golden outputs stable even for score matrices full of ties, which float
-LAP solvers do not guarantee.
+on one exact Python int cost per cell. Scores are floats, hence dyadic
+rationals, so scaling them by their largest denominator makes them exact
+integers. Each cell's cost adds an integer tie-break key below the
+weight's scale, chosen so that, among all maximum-weight assignments, the
+one whose (row, col) list is lexicographically smallest has the least
+cost. That makes golden outputs stable even for score matrices full of
+ties, which float LAP solvers do not guarantee.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
@@ -76,27 +77,21 @@ def to_matrix(dist: np.ndarray, rows: Sequence[str], cols: Sequence[str]) -> Sco
     return ScoreMatrix(rows=tuple(rows), cols=tuple(cols), values=values / peak)
 
 
-def _tuple_sub(x, y):
-    return (x[0] - y[0], x[1] - y[1])
-
-
-def _min_cost_assignment(cost: list[list[tuple[Fraction, int]]]) -> list[int]:
-    """Square min-cost assignment over (Fraction, int) weights.
+def _min_cost_assignment(cost: list[list[int]]) -> list[int]:
+    """Square min-cost assignment over Python int costs.
 
     Shortest augmenting paths with dual potentials; all arithmetic is
-    exact, comparisons are lexicographic on the weight tuples. Returns
-    ``match`` with ``match[col] = row``.
+    exact. Returns ``match`` with ``match[col] = row``, both 1-based.
     """
     n = len(cost)
-    zero = (Fraction(0), 0)
-    u = [zero] * (n + 1)
-    v = [zero] * (n + 1)
+    u = [0] * (n + 1)
+    v = [0] * (n + 1)
     p = [0] * (n + 1)  # 1-based: p[j] = row matched to column j, 0 = free
     way = [0] * (n + 1)
     for i in range(1, n + 1):
         p[0] = i
         j0 = 0
-        minv: list[tuple[Fraction, int] | None] = [None] * (n + 1)
+        minv: list[int | None] = [None] * (n + 1)
         used = [False] * (n + 1)
         while True:
             used[j0] = True
@@ -108,7 +103,7 @@ def _min_cost_assignment(cost: list[list[tuple[Fraction, int]]]) -> list[int]:
             for j in range(1, n + 1):
                 if used[j]:
                     continue
-                cur = _tuple_sub(_tuple_sub(row_cost[j - 1], ui), v[j])
+                cur = row_cost[j - 1] - ui - v[j]
                 if minv[j] is None or cur < minv[j]:
                     minv[j] = cur
                     way[j] = j0
@@ -117,10 +112,10 @@ def _min_cost_assignment(cost: list[list[tuple[Fraction, int]]]) -> list[int]:
                     j1 = j
             for j in range(n + 1):
                 if used[j]:
-                    u[p[j]] = (u[p[j]][0] + delta[0], u[p[j]][1] + delta[1])
-                    v[j] = _tuple_sub(v[j], delta)
+                    u[p[j]] += delta
+                    v[j] -= delta
                 elif minv[j] is not None:
-                    minv[j] = _tuple_sub(minv[j], delta)
+                    minv[j] -= delta
             j0 = j1
             if p[j0] == 0:
                 break
@@ -134,34 +129,40 @@ def _min_cost_assignment(cost: list[list[tuple[Fraction, int]]]) -> list[int]:
 def hungarian_max(mat) -> list[tuple[int, int]]:
     """Maximum-weight assignment of min(m, n) pairs, sorted by row.
 
-    Accepts a ``ScoreMatrix`` or any non-negative 2-D array. Rectangular
-    inputs are padded with zero-weight dummies internally; dummy pairs
-    never appear in the output. Ties between optimal assignments resolve
-    to the lexicographically smallest (row, col) list.
+    Accepts a ``ScoreMatrix`` or any finite, non-negative 2-D array.
+    Rectangular inputs are padded with zero-weight dummies internally;
+    dummy pairs never appear in the output. Ties between optimal
+    assignments resolve to the lexicographically smallest (row, col) list.
     """
     if isinstance(mat, ScoreMatrix):
         mat = mat.values
     arr = np.asarray(mat, dtype=float)
     if arr.ndim != 2 or arr.size == 0:
         raise ValueError("matrix must be 2-D and non-empty")
+    if not np.isfinite(arr).all():
+        raise ValueError("matrix entries must be finite")
     if arr.min() < 0:
         raise ValueError("matrix entries must be non-negative")
     m, n = arr.shape
     size = max(m, n)
     base = n + 1
 
-    cost: list[list[tuple[Fraction, int]]] = []
-    for i in range(size):
-        row = []
-        for j in range(size):
-            if i < m and j < n:
-                # Negated for minimization; the integer part rewards small
-                # columns in early rows strongly enough to dominate every
-                # later row's choice, realizing the lexicographic tie-break.
-                row.append((-Fraction(float(arr[i, j])), -(n - j) * base ** (m - 1 - i)))
-            else:
-                row.append((Fraction(0), 0))
-        cost.append(row)
+    # Every float is a dyadic rational num / 2^k, so over the largest
+    # denominator each score becomes an exact integer.
+    ratios = [x.as_integer_ratio() for x in arr.ravel().tolist()]
+    denom = max(d for _, d in ratios)
+    scaled = [num * (denom // d) for num, d in ratios]
+    # The tie key (n - j) * base^(m-1-i) rewards small columns in early
+    # rows strongly enough to dominate every later row's choice. An
+    # assignment's keys total less than base^m < big, so weight * big
+    # decides first and the key only separates equal weights.
+    big = 2 * base ** m
+    cost = [[0] * size for _ in range(size)]
+    for i in range(m):
+        place = base ** (m - 1 - i)
+        row = cost[i]
+        for j in range(n):
+            row[j] = -scaled[i * n + j] * big - (n - j) * place
 
     match = _min_cost_assignment(cost)
     pairs = [

@@ -2,7 +2,8 @@
 
 These deliberately take the slow, literal route: the edit distance is the
 plain recurrence (optionally memoized so longer strings stay tractable),
-and the assignment oracle enumerates every injective row-to-column map.
+the assignment oracle enumerates every injective row-to-column map, and
+the pair chain is scored one adjacency pair and one term pair at a time.
 Nothing here shares code with the package.
 """
 from __future__ import annotations
@@ -10,6 +11,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
 
 
 def levenshtein_recursive(a: str, b: str) -> int:
@@ -142,3 +145,63 @@ def damp_rows(rows, a: float):
         scaled[i] = scaled.get(i, 0.0) + (1.0 - a)
         out.append(sorted(scaled.items()))
     return out
+
+
+def fold_label(label: str, fold: bool) -> str:
+    """Label normalization: casefold and drop '_', '-' and spaces, or keep as is."""
+    if not fold:
+        return label
+    return label.casefold().replace("_", "").replace("-", "").replace(" ", "")
+
+
+def similarity(a: str, b: str) -> float:
+    """sigma of two normalized labels: 1, 3/4 at distance 1, else 1/distance."""
+    dist = levenshtein_memoized(a, b)
+    if dist == 0:
+        return 1.0
+    if dist == 1:
+        return 0.75
+    return 1.0 / dist
+
+
+def pair_chain_arrays(g1, g2, gamma: float, fold: bool, baseline: bool):
+    """The raw pair chain as CSR (indptr, indices, data) lists, one adjacency
+    pair at a time.
+
+    Edge confidence weighs (x, y) -> (x', y') by 1/sigma of the most
+    similar label pair across the two label sets, when that sigma reaches
+    gamma; baseline weighs it 1.0 when the sets share a normalized label.
+    """
+    n2 = len(g2.terms)
+    left = {t: i for i, t in enumerate(sorted(g1.terms))}
+    right = {t: j for j, t in enumerate(sorted(g2.terms))}
+    rows: dict[int, dict[int, float]] = {}
+    for (x, x2), labels1 in g1.adjacency.items():
+        for (y, y2), labels2 in g2.adjacency.items():
+            names1 = {fold_label(a, fold) for a in labels1}
+            names2 = {fold_label(b, fold) for b in labels2}
+            if baseline:
+                w = 1.0 if names1 & names2 else 0.0
+            else:
+                best = max(similarity(a, b) for a in names1 for b in names2)
+                w = 1.0 / best if best >= gamma else 0.0
+            if w > 0.0:
+                rows.setdefault(left[x] * n2 + right[y], {})[left[x2] * n2 + right[y2]] = w
+    indptr, indices, data = [0], [], []
+    for r in range(len(left) * n2):
+        row = sorted(rows.get(r, {}).items())
+        indices += [c for c, _ in row]
+        data += [w for _, w in row]
+        indptr.append(len(indices))
+    return indptr, indices, data
+
+
+def lexical_start(g1, g2, fold: bool) -> np.ndarray:
+    """Initial distribution: sigma of every term-label pair, L1-normalized."""
+    labels1 = [fold_label(g1.terms[t].label, fold) for t in sorted(g1.terms)]
+    labels2 = [fold_label(g2.terms[t].label, fold) for t in sorted(g2.terms)]
+    values = np.array([similarity(a, b) for a, b in itertools.product(labels1, labels2)])
+    total = values.sum()
+    if total <= 0.0:
+        return np.full(len(values), 1.0 / len(values))
+    return values / total

@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 from chainalign.chain import (
@@ -17,7 +19,8 @@ from chainalign.chain import (
     normalize,
     steady_state,
 )
-from chainalign.lexical import SimilarityConfig
+from chainalign.lexical import LabelNorm, SimilarityConfig
+from chainalign.ontology import LabeledEdge, OntologyGraph, Term
 
 from conftest import (
     chain_from_rows,
@@ -27,7 +30,7 @@ from conftest import (
     random_stochastic_chain,
     support,
 )
-from oracles import damp_rows, normalize_rows
+from oracles import damp_rows, lexical_start, normalize_rows, pair_chain_arrays
 
 
 def transition_map(chain, g1, g2):
@@ -410,3 +413,41 @@ class TestNormalizationOracle:
                              for c in cols])
             assert max(map(len, rows)) >= 8
             self.assert_matches_oracle(rows)
+
+
+# labels within an edit or two of each other, folding variants of one
+# another, folding to "" ("_-") or expanding under casefold ("Straße")
+EDGE_LABELS = ["isA", "is_a", "IS-A", "isAn", "partOf", "part", "_-", "Straße", "STRASSE", "x"]
+TERM_LABELS = ["Bird", "bird", "Birds", "B-ird", "_-", "Straße", "strasse", "fish"]
+
+
+@st.composite
+def labeled_graphs(draw):
+    """Up to five terms; parallel edges may carry different labels, and a
+    graph may have no edges at all."""
+    ids = [f"t{i}" for i in range(draw(st.integers(1, 5)))]
+    terms = {t: Term(id=t, label=draw(st.sampled_from(TERM_LABELS))) for t in ids}
+    edges = draw(st.lists(
+        st.tuples(st.sampled_from(ids), st.sampled_from(ids), st.sampled_from(EDGE_LABELS)),
+        max_size=12,
+    ))
+    return OntologyGraph(terms=terms, edges=[LabeledEdge(s, d, l) for s, d, l in edges])
+
+
+class TestPairwiseOracle:
+    """build_upmc and initial_distribution score all label pairs at once; the
+    oracle scores one adjacency pair and one term pair at a time."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(labeled_graphs(), labeled_graphs(), st.sampled_from([0.0, 0.5, 1.0]),
+           st.sampled_from(list(LabelNorm)), st.sampled_from([EDGE_CONFIDENCE, BASELINE_SF]))
+    def test_matches_per_pair_scoring(self, g1, g2, gamma, norm, mode):
+        cfg = SimilarityConfig(gamma=gamma, label_normalization=norm)
+        fold = norm is LabelNorm.FOLD
+        chain = build_upmc(g1, g2, cfg, mode)
+        indptr, indices, data = pair_chain_arrays(g1, g2, gamma, fold, mode == BASELINE_SF)
+        assert chain.matrix.indptr.tolist() == indptr
+        assert chain.matrix.indices.tolist() == indices
+        assert chain.matrix.data.tolist() == data
+        pi0 = initial_distribution(chain, g1, g2, cfg)
+        assert pi0.tolist() == lexical_start(g1, g2, fold).tolist()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chainalign import lexical
 from chainalign.lexical import (
     LabelNorm,
     SimilarityConfig,
@@ -12,6 +13,7 @@ from chainalign.lexical import (
     edit_similarity,
     label_set_confidence,
     levenshtein,
+    levenshtein_matrix,
     normalize_label,
 )
 
@@ -66,6 +68,51 @@ class TestLevenshtein:
                 "".join(rng.choices("abcde", k=rng.randrange(9))) for _ in range(3)
             )
             assert levenshtein(a, c) <= levenshtein(a, b) + levenshtein(b, c)
+
+
+def oracle_matrix(a, b):
+    """levenshtein_memoized over every pair, each distinct pair computed once."""
+    distinct = {(x, y): levenshtein_memoized(x, y) for x in set(a) for y in set(b)}
+    return [[distinct[x, y] for y in b] for x in a]
+
+
+class TestLevenshteinMatrix:
+    def test_abc_strings_against_memoized_recursion(self):
+        words = [
+            "".join(p)
+            for n in range(5)
+            for p in itertools.product("abc", repeat=n)
+        ]
+        assert levenshtein_matrix(words, words).tolist() == oracle_matrix(words, words)
+
+    def test_seeded_lists_with_empty_and_non_ascii_labels(self):
+        rng = random.Random(23)
+        alphabet = "ab_-é字ßẞ"
+        for _ in range(150):
+            a, b = (
+                ["".join(rng.choices(alphabet, k=rng.randrange(9)))
+                 for _ in range(rng.randrange(7))] + rng.choice([[], [""]])
+                for _ in range(2)
+            )
+            got = levenshtein_matrix(a, b)
+            assert got.shape == (len(a), len(b))
+            assert got.tolist() == oracle_matrix(a, b)
+
+    def test_folded_labels(self):
+        raw = ["_-", "Straße", "STRASSE", "Has_A", "hasa", "x"]
+        for norm in LabelNorm:
+            labels = [normalize_label(s, SimilarityConfig(label_normalization=norm)) for s in raw]
+            assert levenshtein_matrix(labels, labels).tolist() == oracle_matrix(labels, labels)
+        folded = [normalize_label(s, SimilarityConfig()) for s in raw]
+        assert folded[0] == "" and folded[1] == folded[2] == "strasse"
+
+    def test_list_spanning_several_blocks(self):
+        rng = random.Random(29)
+        b = ["".join(rng.choices("abc", k=rng.randrange(31))) for _ in range(30)]
+        a = ["".join(rng.choices("abc", k=rng.randrange(4))) for _ in range(900)]
+        rows_per_block = lexical._BLOCK_CELLS // (len(b) * (max(map(len, b)) + 1))
+        assert len(a) > 2 * rows_per_block
+        assert levenshtein_matrix(a, b).tolist() == oracle_matrix(a, b)
 
 
 class TestEditSimilarity:

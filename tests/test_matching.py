@@ -76,6 +76,11 @@ class TestHungarianMax:
         with pytest.raises(ValueError, match="non-negative"):
             hungarian_max(np.array([[1.0, -0.1]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            hungarian_max(np.array([[1.0, bad], [0.5, 0.2]]))
+
     def test_all_ties_resolve_lexicographically(self):
         pairs = hungarian_max(np.ones((3, 3)))
         assert pairs == [(0, 0), (1, 1), (2, 2)]
@@ -109,6 +114,25 @@ class TestHungarianMax:
             mat = [[rng.choice([0.0, 0.5, 1.0]) for _ in range(n)] for _ in range(m)]
             expected, _ = brute_force_assignment(mat)
             assert hungarian_max(np.array(mat)) == expected
+
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 5), (5, 2), (1, 4), (4, 1)])
+    def test_matches_brute_force_across_the_exponent_range(self, shape):
+        # over the common denominator 2^1074 the smallest subnormal scales
+        # to 1 and 1.0 to 2^1074: only exact arithmetic keeps such totals apart
+        rng = random.Random(sum(shape) * 10 + shape[0])
+        m, n = shape
+        for _ in range(60):
+            mat = [[rng.choice([0.0, 5e-324, 1e-300, 1.0]) for _ in range(n)] for _ in range(m)]
+            expected, _ = brute_force_assignment(mat)
+            assert hungarian_max(np.array(mat)) == expected
+
+    @pytest.mark.parametrize("shape", [(1, 1), (4, 4), (2, 5), (5, 2)])
+    @pytest.mark.parametrize("value", [0.0, 5e-324, 1e-300, 1.0])
+    def test_all_equal_matrices_take_the_smallest_assignment(self, shape, value):
+        mat = np.full(shape, value)
+        expected, _ = brute_force_assignment(mat.tolist())
+        assert expected == [(i, i) for i in range(min(shape))]
+        assert hungarian_max(mat) == expected
 
     def test_pair_set_invariant_under_positive_scaling(self):
         rng = random.Random(5)

@@ -1,7 +1,11 @@
+import importlib
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from chainalign.chain import SolverConfig
+from chainalign.chain import PairwiseChain, SolverConfig
 from chainalign.lexical import SimilarityConfig
 from chainalign.pipeline import align, build_chain
 
@@ -67,3 +71,41 @@ class TestBuildChain:
                        SolverConfig(chain_mode=mode, method="steady-state"))[1]
             gap = np.max(np.abs(it.distribution - ss.distribution))
             assert gap < 1e-6
+
+
+def load_bench_spans():
+    """bench/spans.py, loaded by path: it is a script directory, not a package."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBenchPatchTargets:
+    """A traced benchmark run swaps these module attributes for wrappers and
+    fails on the first one that is missing."""
+
+    def test_every_patched_attribute_resolves(self):
+        spans = load_bench_spans()
+        targets = [(mod, attr) for mod, attr, _ in spans.SPANS + spans.COUNTERS + spans.ALLOCS]
+        # bench/run.py keeps what these two return
+        targets += [("pipeline", "build_chain"), ("evaluation", "align")]
+        missing = [
+            f"chainalign.{mod}.{attr}"
+            for mod, attr in targets
+            if not hasattr(importlib.import_module(f"chainalign.{mod}"), attr)
+        ]
+        assert missing == []
+        assert isinstance(PairwiseChain.transitions, property)  # read by spans._chain_shape
+
+    def test_traced_align_sees_the_pipeline_stages(self, birds):
+        spans = load_bench_spans()
+        tracer = spans.Tracer()
+        pipeline = importlib.import_module("chainalign.pipeline")
+        with tracer.instrument(), tracer.operation():
+            pipeline.align(birds, birds)
+        seen = set(tracer.names)
+        assert {"pipeline.align", "chain.build_upmc", "chain.initial_distribution",
+                "chain.iterate", "matching.refine", "matching.hungarian_max"} <= seen
+        assert tracer.counts[0]["chain.nnz"] > 0
