@@ -30,11 +30,12 @@ Rows with a single entry get probability 1 on it; empty rows become
 self-loops. Baseline chains always normalize to uniform 1/outdegree.
 
 The stationary distribution comes from either power iteration from the
-lexical initial distribution, or a direct linear solve of
+lexical initial distribution, or a direct sparse LU solve of
 pi (P - I) = 0 with one equation replaced by sum(pi) = 1. The direct
-solve requires a unique stationary distribution; chains whose pair graph
-splits into several closed classes make the system singular and raise
-``SolverError`` (power iteration still answers them). The ergodic
+solve requires a unique stationary distribution, which holds exactly
+when the pair graph has one closed class; it counts the closed classes
+first and raises ``SolverError`` on more than one (power iteration
+still answers such chains). The ergodic
 damping transform P' = aP + (1-a)I removes periodicity (it preserves the
 stationary distribution of irreducible chains) and should be applied
 before either solver.
@@ -354,39 +355,20 @@ def iterate(chain: PairwiseChain, pi0: np.ndarray, cfg: SolverConfig | None = No
                        converged=converged, method=METHOD_ITERATIVE)
 
 
-def _solve_dense(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Gaussian elimination with partial pivoting; raises on singular systems."""
-    n = a.shape[0]
-    a = a.copy()
-    b = b.copy()
-    scale = max(np.abs(a).max(), 1.0)
-    tol = scale * 1e-12 * max(n, 10)
-    for k in range(n):
-        pivot_row = k + int(np.argmax(np.abs(a[k:, k])))
-        if abs(a[pivot_row, k]) < tol:
-            raise SolverError(
-                "stationary system is singular: the pair chain splits into several "
-                f"closed classes, so its stationary distribution is not unique; {_REMEDY}"
-            )
-        if pivot_row != k:
-            a[[k, pivot_row]] = a[[pivot_row, k]]
-            b[[k, pivot_row]] = b[[pivot_row, k]]
-        factors = a[k + 1:, k] / a[k, k]
-        a[k + 1:, k:] -= np.outer(factors, a[k, k:])
-        b[k + 1:] -= factors * b[k]
-    x = np.zeros(n)
-    for k in range(n - 1, -1, -1):
-        x[k] = (b[k] - a[k, k + 1:] @ x[k + 1:]) / a[k, k]
-    return x
-
-
 def steady_state(chain: PairwiseChain, cfg: SolverConfig | None = None) -> SolveResult:
     """Direct stationary solve: pi (P - I) = 0 with sum(pi) = 1.
 
-    Expects any damping to have been applied already (see
-    ``ergodic_transform``). A pure identity chain admits every
-    distribution as stationary; the uniform one is returned for it.
+    The system is nonsingular exactly when the chain has one closed class
+    (a strongly connected component that no stored transition leaves);
+    more raise ``SolverError``. Otherwise P^T - I, its last row replaced
+    by ones, is factored by sparse LU. Expects any damping to have been
+    applied already (see ``ergodic_transform``). A pure identity chain
+    admits every distribution as stationary; the uniform one is returned.
     """
+    # imported here: scipy.sparse.linalg adds about 0.1 s to `import chainalign`
+    from scipy.sparse.csgraph import connected_components
+    from scipy.sparse.linalg import splu
+
     cfg = cfg or SolverConfig()
     if not chain.stochastic:
         raise ValueError("steady_state requires a stochastic chain")
@@ -398,11 +380,24 @@ def steady_state(chain: PairwiseChain, cfg: SolverConfig | None = None) -> Solve
         pi = np.full(n, 1.0 / n)
         return SolveResult(distribution=pi, iterations=0, converged=True,
                            method=METHOD_STEADY_STATE)
-    system = m.toarray().T - np.eye(n)
-    system[n - 1, :] = 1.0
+    count, labels = connected_components(m, directed=True, connection="strong")
+    rows = np.repeat(np.arange(n), np.diff(m.indptr))
+    leaving = labels[rows] != labels[m.indices]
+    closed = count - len(np.unique(labels[rows[leaving]]))
+    if closed > 1:
+        raise SolverError(
+            "stationary system is singular: the pair chain splits into several "
+            f"closed classes ({closed} found), so its stationary distribution is "
+            f"not unique; {_REMEDY}"
+        )
+    system = (m.T - sparse.identity(n, format="csr")).tocsr()[:-1]
+    system = sparse.vstack([system, sparse.csr_matrix(np.ones((1, n)))], format="csc")
     rhs = np.zeros(n)
     rhs[n - 1] = 1.0
-    pi = _solve_dense(system, rhs)
+    try:
+        pi = splu(system).solve(rhs)
+    except RuntimeError as exc:  # a weight too small to register against 1
+        raise SolverError(f"stationary system is numerically singular ({exc}); {_REMEDY}") from exc
     lowest = pi.min()
     if lowest < -1e-9:
         raise SolverError(

@@ -2,9 +2,11 @@
 
 These deliberately take the slow, literal route: the edit distance is the
 plain recurrence (optionally memoized so longer strings stay tractable),
-the assignment oracle enumerates every injective row-to-column map, and
-the pair chain is scored one adjacency pair and one term pair at a time.
-Nothing here shares code with the package.
+the assignment oracle enumerates every injective row-to-column map, the
+pair chain is scored one adjacency pair and one term pair at a time,
+closed classes come from plain reachability sets and the stationary
+distribution from a dense solve. Nothing here shares code with the
+package.
 """
 from __future__ import annotations
 
@@ -145,6 +147,39 @@ def damp_rows(rows, a: float):
         scaled[i] = scaled.get(i, 0.0) + (1.0 - a)
         out.append(sorted(scaled.items()))
     return out
+
+
+def closed_class_count(rows) -> int:
+    """Number of closed classes of the chain whose row i lists ``(column, weight)`` pairs.
+
+    A closed class is a set of states that reach each other and reach
+    nothing else: state i is in one exactly when every state it reaches
+    reaches i back.
+    """
+    reach = []
+    for start in range(len(rows)):
+        seen, todo = {start}, [start]
+        while todo:
+            for c, _ in rows[todo.pop()]:
+                if c not in seen:
+                    seen.add(c)
+                    todo.append(c)
+        reach.append(seen)
+    closed = {frozenset(reach[i]) for i in range(len(rows))
+              if all(i in reach[j] for j in reach[i])}
+    return len(closed)
+
+
+def stationary_dense(matrix) -> np.ndarray:
+    """pi with pi P = pi and sum(pi) = 1, from ``numpy.linalg.solve`` on the
+    dense system P^T - I whose last row is replaced by ones."""
+    p = np.asarray(matrix, dtype=float)
+    n = p.shape[0]
+    system = p.T - np.eye(n)
+    system[-1, :] = 1.0
+    rhs = np.zeros(n)
+    rhs[-1] = 1.0
+    return np.linalg.solve(system, rhs)
 
 
 def fold_label(label: str, fold: bool) -> str:

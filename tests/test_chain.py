@@ -1,4 +1,7 @@
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
+import chainalign
 from chainalign.chain import (
     BASELINE_SF,
     EDGE_CONFIDENCE,
@@ -30,7 +34,14 @@ from conftest import (
     random_stochastic_chain,
     support,
 )
-from oracles import damp_rows, lexical_start, normalize_rows, pair_chain_arrays
+from oracles import (
+    closed_class_count,
+    damp_rows,
+    lexical_start,
+    normalize_rows,
+    pair_chain_arrays,
+    stationary_dense,
+)
 
 
 def transition_map(chain, g1, g2):
@@ -325,6 +336,31 @@ class TestSteadyState:
         with pytest.raises(ValueError, match="stochastic"):
             steady_state(chain)
 
+    def test_hand_solved_transient_state(self):
+        # state 0 leaks into the absorbing state 1 and keeps no mass
+        chain = dense_chain([[0.5, 0.5], [0, 1]])
+        assert steady_state(chain).distribution.tolist() == [0.0, 1.0]
+
+    def test_underflowing_weight_raises_numerically_singular(self):
+        # one closed class, but 1.0 - 1.0 leaves state 0 no pivot: its only
+        # way out (1e-300) is lost against the self-loop
+        chain = dense_chain([[1.0, 1e-300], [0, 1.0]])
+        with pytest.raises(SolverError, match="numerically singular") as info:
+            steady_state(chain)
+        assert "--method iterative" in str(info.value)
+
+    def test_import_leaves_sparse_linalg_unloaded(self):
+        # steady_state imports scipy.sparse.linalg itself, so importing the
+        # package does not pay for it
+        src = str(Path(chainalign.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; sys.path.insert(0, sys.argv[1]); import chainalign; "
+             "print('scipy.sparse.linalg' in sys.modules)", src],
+            capture_output=True, text=True, check=True, timeout=60,
+        )
+        assert out.stdout.strip() == "False"
+
     def test_entries_are_non_negative_probabilities(self):
         rng = random.Random(21)
         for _ in range(30):
@@ -347,6 +383,57 @@ class TestSolverAgreement:
             assert by_iteration.converged
             gap = np.max(np.abs(by_iteration.distribution - direct.distribution))
             assert gap < 1e-6
+
+
+@st.composite
+def stochastic_rows(draw):
+    """Up to twelve states with sparse rows of one to four columns, and up
+    to two dangling rows made self-loops, so chains mix transient states
+    with one or more closed classes. Damped by a in {1, 0.85}."""
+    n = draw(st.integers(1, 12))
+    dangling = draw(st.sets(st.integers(0, n - 1), max_size=2))
+    rows = []
+    for i in range(n):
+        if i in dangling:
+            rows.append([(i, 1.0)])
+            continue
+        cols = sorted(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4, unique=True)))
+        weights = [draw(st.floats(0.05, 1.0)) for _ in cols]
+        total = sum(weights)
+        rows.append([(c, w / total) for c, w in zip(cols, weights)])
+    a = draw(st.sampled_from([1.0, 0.85]))
+    return damp_rows(rows, a) if a < 1.0 else rows
+
+
+class TestReducibleSteadyState:
+    """c04 covers irreducible chains; these may be reducible, with dangling
+    rows and transient states, and are checked against the oracles."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(stochastic_rows())
+    def test_raises_exactly_on_several_closed_classes(self, rows):
+        chain = chain_from_rows(rows, stochastic=True)
+        n = len(rows)
+        if support(chain) == {(i, i) for i in range(n)}:
+            assert steady_state(chain).distribution.tolist() == [1.0 / n] * n
+            return
+        closed = closed_class_count(rows)
+        if closed > 1:
+            with pytest.raises(SolverError, match=rf"several closed classes \({closed} found\)"):
+                steady_state(chain)
+            return
+        pi = steady_state(chain).distribution
+        assert np.max(np.abs(pi - stationary_dense(chain.matrix.toarray()))) <= 1e-12
+        assert np.max(np.abs(pi @ chain.matrix - pi)) <= 1e-12
+
+    @pytest.mark.parametrize("rows, count", [
+        ([[(0, 1.0)], [(0, 0.5), (1, 0.5)]], 1),
+        ([[(0, 1.0)], [(1, 1.0)], [(0, 0.5), (1, 0.5)]], 2),
+        ([[(1, 1.0)], [(2, 1.0)], [(0, 1.0)], [(3, 1.0)]], 2),
+        ([[(1, 1.0)], [(0, 1.0)], [(0, 0.5), (3, 0.5)], [(2, 1.0)]], 1),
+    ])
+    def test_closed_class_oracle(self, rows, count):
+        assert closed_class_count(rows) == count
 
 
 class TestChainValidation:

@@ -185,6 +185,7 @@ class TestSolverFailure:
                            "--method", "steady-state")
         assert code == 3
         assert "several closed classes" in err
+        assert "3 found" in err
         assert "--method iterative" in err
 
     def test_same_input_succeeds_with_iterative_solver(self, capsys, tmp_path):
