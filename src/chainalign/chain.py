@@ -14,6 +14,10 @@ compatible:
   label sets share an identical (normalized) label, reproducing the
   pairwise connectivity graph of plain similarity flooding.
 
+Both weights come from ``lexical.label_set_weights``, once per pair of
+label sets; ``build_upmc`` spreads them over the adjacency entries that
+carry those sets by sparse indexing.
+
 Row normalization turns the raw weights into a row-stochastic matrix.
 Two readings of that step are implemented. Both treat the stored weight
 as a dissimilarity d (identical labels give the smallest weight, 1):
@@ -27,7 +31,10 @@ as a dissimilarity d (identical labels give the smallest weight, 1):
   rather than silently resolved.
 
 Rows with a single entry get probability 1 on it; empty rows become
-self-loops. Baseline chains always normalize to uniform 1/outdegree.
+self-loops. Baseline chains normalize to uniform 1/outdegree under
+either reading, because all their weights are 1: a row of k of them
+gives each entry (k-1) / (k(k-1)), computed from exact integers, which
+rounds to the same float as 1/k.
 
 The stationary distribution comes from either power iteration from the
 lexical initial distribution, or a direct sparse LU solve of
@@ -47,14 +54,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-# label_set_confidence and labels_share_exact_match are no longer called here;
-# they stay bound as chain attributes, which the benchmark's tracer wraps
+# label_set_confidence and labels_share_exact_match are not called here; they
+# stay bound as chain attributes, which the benchmark's tracer wraps
 from .lexical import (  # noqa: F401
     SimilarityConfig,
+    label_distances,
     label_set_confidence,
+    label_set_weights,
     labels_share_exact_match,
-    levenshtein_matrix,
-    normalize_label,
     similarity_of_distance,
 )
 from .ontology import OntologyGraph
@@ -93,7 +100,7 @@ class SolverConfig:
     chain_mode: str = EDGE_CONFIDENCE
 
     def __post_init__(self):
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be positive, got {self.max_iters}")
@@ -119,7 +126,6 @@ class PairwiseChain:
 
     matrix: sparse.csr_matrix
     stochastic: bool = False
-    mode: str = EDGE_CONFIDENCE
 
     def __post_init__(self):
         m = self.matrix
@@ -163,13 +169,6 @@ class SolveResult:
     method: str
 
 
-def _distinct(labels: list[str]) -> tuple[list[str], np.ndarray]:
-    """The distinct labels in first-seen order, and each label's index among them."""
-    ids: dict[str, int] = {}
-    inverse = [ids.setdefault(s, len(ids)) for s in labels]
-    return list(ids), np.array(inverse, dtype=np.intp)
-
-
 def _edges(g: OntologyGraph, scale: int):
     """Adjacency entries as arrays: source and target offsets (term index
     times ``scale``) and label-set ids; and the label sets in id order."""
@@ -183,27 +182,6 @@ def _edges(g: OntologyGraph, scale: int):
     return np.array(src), np.array(dst), np.array(sid, dtype=np.intp), list(set_ids)
 
 
-def _least_distances(sets1: list, sets2: list, cfg: SimilarityConfig) -> np.ndarray:
-    """Least edit distance between the normalized labels of every pair of label sets."""
-    def members(sets):
-        labels, ids = _distinct([normalize_label(label, cfg) for s in sets for label in s])
-        return labels, ids, np.cumsum([0] + [len(s) for s in sets[:-1]])
-
-    labels1, ids1, starts1 = members(sets1)
-    labels2, ids2, starts2 = members(sets2)
-    dist = levenshtein_matrix(labels1, labels2)
-    # minimum over each set's rows, then over each set's columns
-    dist = np.minimum.reduceat(dist[ids1], starts1, axis=0)
-    return np.minimum.reduceat(dist[:, ids2], starts2, axis=1)
-
-
-def _grouped(sid: np.ndarray, n_sets: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Entries ordered by label-set id, with each set's first position and size."""
-    order = np.argsort(sid, kind="stable")
-    counts = np.bincount(sid, minlength=n_sets)
-    return order, np.cumsum(counts) - counts, counts
-
-
 def build_upmc(
     g1: OntologyGraph,
     g2: OntologyGraph,
@@ -212,13 +190,9 @@ def build_upmc(
 ) -> PairwiseChain:
     """Construct the unnormalized pairwise chain for two ontologies.
 
-    Every adjacency entry carries one label set, so the transitions are
-    blocks: each compatible (label set of g1, label set of g2) pair joins
-    all g1 entries with the first set to all g2 entries with the second,
-    at one weight. A pair's weight depends only on the least edit
-    distance d between their normalized labels, because sigma falls
-    strictly as d grows: ``label_set_confidence`` is 1/sigma(d) when
-    sigma(d) >= gamma, ``labels_share_exact_match`` is d == 0.
+    Every adjacency entry carries one label set, so each pair of entries
+    takes the weight of its two label sets (``label_set_weights``): the
+    sets' weight matrix indexed by the entries' set ids on both sides.
     """
     cfg = cfg or SimilarityConfig()
     if chain_mode not in CHAIN_MODES:
@@ -233,31 +207,17 @@ def build_upmc(
     src1, dst1, sid1, sets1 = _edges(g1, n2)
     src2, dst2, sid2, sets2 = _edges(g2, 1)
     if not sets1 or not sets2:
-        return PairwiseChain(sparse.csr_matrix((n, n)), stochastic=False, mode=chain_mode)
+        return PairwiseChain(sparse.csr_matrix((n, n)))
 
-    dist = _least_distances(sets1, sets2, cfg)
-    if chain_mode == BASELINE_SF:
-        weight = np.where(dist == 0, 1.0, 0.0)
-    else:
-        sigma = similarity_of_distance(dist)
-        weight = np.where(sigma >= cfg.gamma, 1.0 / sigma, 0.0)
-
-    # one block of count1[s] * count2[t] triples per compatible pair (s, t)
-    s, t = np.nonzero(weight)
-    order1, first1, count1 = _grouped(sid1, len(sets1))
-    order2, first2, count2 = _grouped(sid2, len(sets2))
-    size = count1[s] * count2[t]
-    pair = np.repeat(np.arange(len(s)), size)
-    offset = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
-    width = count2[t][pair]
-    e1 = order1[first1[s][pair] + offset // width]
-    e2 = order2[first2[t][pair] + offset % width]
-
+    weight = label_set_weights(sets1, sets2, cfg, exact=chain_mode == BASELINE_SF)
+    # row e1, column e2: the weight of g1 entry e1 paired with g2 entry e2
+    pairs = sparse.csr_matrix(weight)[sid1][:, sid2].tocoo()
+    e1, e2 = pairs.row, pairs.col
     # adjacency keys are unique on each side, so no (row, col) repeats
     matrix = sparse.csr_matrix(
-        (weight[s, t][pair], (src1[e1] + src2[e2], dst1[e1] + dst2[e2])), shape=(n, n)
+        (pairs.data, (src1[e1] + src2[e2], dst1[e1] + dst2[e2])), shape=(n, n)
     )
-    return PairwiseChain(matrix, stochastic=False, mode=chain_mode)
+    return PairwiseChain(matrix)
 
 
 def _row_sums(matrix: sparse.csr_matrix, values: np.ndarray) -> np.ndarray:
@@ -281,19 +241,14 @@ def normalize(chain: PairwiseChain, norm_mode: str = NORM_COMPLEMENT) -> Pairwis
     empty = np.diff(chain.matrix.indptr) == 0
     m = chain.matrix + sparse.diags(empty.astype(float), format="csr")
     counts = np.diff(m.indptr)
-    row_len = np.repeat(counts, counts)  # length of each entry's row
-    if chain.mode == BASELINE_SF:
-        shares = 1.0 / row_len
-    else:
-        d = m.data if norm_mode == NORM_COMPLEMENT else 1.0 / m.data
-        temp = np.repeat(_row_sums(m, d), counts) - d
-        temp[row_len == 1] = 1.0
-        shares = temp / np.repeat(_row_sums(m, temp), counts)
-    m.data = shares
+    d = m.data if norm_mode == NORM_COMPLEMENT else 1.0 / m.data
+    temp = np.repeat(_row_sums(m, d), counts) - d
+    temp[np.repeat(counts, counts) == 1] = 1.0
+    m.data = temp / np.repeat(_row_sums(m, temp), counts)
     # extreme weight ratios can cancel a share to exactly 0.0; zero weights
     # are never stored
     m.eliminate_zeros()
-    return PairwiseChain(m, stochastic=True, mode=chain.mode)
+    return PairwiseChain(m, stochastic=True)
 
 
 def ergodic_transform(chain: PairwiseChain, a: float) -> PairwiseChain:
@@ -305,7 +260,7 @@ def ergodic_transform(chain: PairwiseChain, a: float) -> PairwiseChain:
     if a == 1.0:
         return chain
     damped = a * chain.matrix + sparse.diags(np.full(len(chain), 1.0 - a), format="csr")
-    return PairwiseChain(damped, stochastic=True, mode=chain.mode)
+    return PairwiseChain(damped, stochastic=True)
 
 
 def initial_distribution(
@@ -315,13 +270,11 @@ def initial_distribution(
     cfg: SimilarityConfig | None = None,
 ) -> np.ndarray:
     """Lexical starting point: state (x, y) weighted by sigma of the term labels."""
-    cfg = cfg or SimilarityConfig()
-    labels1, at1 = _distinct([normalize_label(g1.label(t), cfg) for t in g1.term_ids])
-    labels2, at2 = _distinct([normalize_label(g2.label(t), cfg) for t in g2.term_ids])
-    if len(chain) != len(at1) * len(at2):
+    if len(chain) != len(g1.term_ids) * len(g2.term_ids):
         raise ValueError("chain states must be the cross product of the two ontologies' terms")
-    # state (i, j) at i * n2 + j: the row-major order of the gathered matrix
-    dist = levenshtein_matrix(labels1, labels2)[np.ix_(at1, at2)]
+    # state (i, j) at i * n2 + j: the row-major order of the distance matrix
+    dist = label_distances([g1.label(t) for t in g1.term_ids],
+                           [g2.label(t) for t in g2.term_ids], cfg or SimilarityConfig())
     values = similarity_of_distance(dist.ravel())
     total = values.sum()
     if total <= 0.0:

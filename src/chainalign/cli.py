@@ -197,6 +197,8 @@ def _emit(text: str, output: str | None) -> None:
 def _require_file(path: str) -> str:
     if not Path(path).exists():
         raise OntologyError(f"no such file: {path}")
+    if not Path(path).is_file():
+        raise OntologyError(f"not a file: {path}")
     return path
 
 

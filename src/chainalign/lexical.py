@@ -1,28 +1,34 @@
-"""String-level similarity between edge labels.
+"""String-level similarity between edge labels, and the weight it gives a
+pair of label sets.
 
 ``levenshtein`` is the classic insert/delete/substitute edit distance of
 two strings. ``levenshtein_matrix`` gives the same distance for every
 pair of two label lists at once: the Wagner-Fischer recurrence (J. ACM,
 1974) run as one numpy step per character of the left-hand labels, over
 all pairs together, in blocks of left-hand labels that keep the working
-array near 2^18 int32 cells. The pipeline scores labels through the
-matrix form; the scalar one remains for single pairs.
-``edit_similarity`` maps a distance L to a score in (0, 1]:
+array near 2^18 int32 cells. ``label_distances`` normalizes two label
+lists and scores each distinct pair once through the matrix form.
+``similarity_of_distance`` maps a distance L to a score sigma in (0, 1]:
 
     1    if L = 0
     3/4  if L = 1
     1/L  otherwise
 
-``edge_confidence`` thresholds that score at ``gamma`` and returns the
-reciprocal 1/sigma for passing pairs, 0 otherwise, so its nonzero range
-is [1, 1/gamma]. Downstream row normalization decides how those raw
-weights are turned into transition probabilities.
+``label_set_weights`` is the one place labels become chain weights. For
+every pair of label sets it takes the least distance d between their
+labels and returns the edge-confidence weight 1/sigma(d) when
+sigma(d) >= ``gamma``, else 0, so its nonzero range is [1, 1/gamma]; or
+similarity flooding's weight, 1 on an exact match (d = 0), else 0.
+Downstream row normalization decides how those raw weights are turned
+into transition probabilities. ``edit_similarity``, ``edge_confidence``,
+``label_set_confidence`` and ``labels_share_exact_match`` are the same
+rules for a single pair of labels or label sets.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Collection, Sequence
 
 import numpy as np
 
@@ -119,19 +125,73 @@ def levenshtein_matrix(a: Sequence[str], b: Sequence[str]) -> np.ndarray:
     return out
 
 
+def similarity_of_distance(dist: np.ndarray | int) -> np.ndarray:
+    """sigma of edit distances L, as floats: 1 at L = 0, 3/4 at L = 1, 1/L beyond."""
+    dist = np.asarray(dist)
+    return np.where(dist == 0, 1.0, np.where(dist == 1, 0.75, 1.0 / np.maximum(dist, 1)))
+
+
 def edit_similarity(a: str, b: str) -> float:
     """Similarity in (0, 1] derived from the edit distance."""
-    dist = levenshtein(a, b)
-    if dist == 0:
-        return 1.0
-    if dist == 1:
-        return 0.75
-    return 1.0 / dist
+    return float(similarity_of_distance(levenshtein(a, b)))
 
 
-def similarity_of_distance(dist: np.ndarray) -> np.ndarray:
-    """``edit_similarity`` over an array of edit distances, as the same floats."""
-    return np.where(dist == 0, 1.0, np.where(dist == 1, 0.75, 1.0 / np.maximum(dist, 1)))
+def _distinct(labels: list[str]) -> tuple[list[str], np.ndarray]:
+    """The distinct labels in first-seen order, and each label's index among them."""
+    ids: dict[str, int] = {}
+    inverse = [ids.setdefault(s, len(ids)) for s in labels]
+    return list(ids), np.array(inverse, dtype=np.intp)
+
+
+def label_distances(labels1: Sequence[str], labels2: Sequence[str],
+                    cfg: SimilarityConfig) -> np.ndarray:
+    """Edit distance between the normalized forms of every pair of labels,
+    shape (len(labels1), len(labels2)); each distinct pair is scored once."""
+    distinct1, at1 = _distinct([normalize_label(s, cfg) for s in labels1])
+    distinct2, at2 = _distinct([normalize_label(s, cfg) for s in labels2])
+    return levenshtein_matrix(distinct1, distinct2)[np.ix_(at1, at2)]
+
+
+def label_set_weights(sets1: Sequence[Collection[str]], sets2: Sequence[Collection[str]],
+                      cfg: SimilarityConfig, exact: bool = False) -> np.ndarray:
+    """Weight of every pair of non-empty label sets, shape (len(sets1), len(sets2)).
+
+    A pair's weight depends only on the least edit distance d between
+    their normalized labels, because sigma falls strictly as d grows:
+    1/sigma(d) when sigma(d) >= gamma, else 0. With ``exact``, similarity
+    flooding's rule: 1 when d = 0, that is when the sets share a
+    normalized label, else 0.
+    """
+    dist = label_distances([s for group in sets1 for s in group],
+                           [s for group in sets2 for s in group], cfg)
+    # minimum over each set's rows, then over each set's columns
+    starts1 = np.cumsum([0] + [len(group) for group in sets1[:-1]])
+    starts2 = np.cumsum([0] + [len(group) for group in sets2[:-1]])
+    dist = np.minimum.reduceat(np.minimum.reduceat(dist, starts1, axis=0), starts2, axis=1)
+    if exact:
+        return np.where(dist == 0, 1.0, 0.0)
+    sigma = similarity_of_distance(dist)
+    return np.where(sigma >= cfg.gamma, 1.0 / sigma, 0.0)
+
+
+def label_set_confidence(s1: Collection[str], s2: Collection[str],
+                         cfg: SimilarityConfig | None = None) -> float:
+    """Confidence of the most similar label pair across two label sets.
+
+    The pair with maximal sigma wins; its edge confidence is returned.
+    0 when either set is empty or no pair reaches gamma.
+    """
+    if not s1 or not s2:
+        return 0.0
+    return float(label_set_weights([s1], [s2], cfg or SimilarityConfig())[0, 0])
+
+
+def labels_share_exact_match(s1: Collection[str], s2: Collection[str],
+                             cfg: SimilarityConfig | None = None) -> bool:
+    """True when the two sets share an identical label after normalization."""
+    if not s1 or not s2:
+        return False
+    return bool(label_set_weights([s1], [s2], cfg or SimilarityConfig(), exact=True)[0, 0])
 
 
 def edge_confidence(a: str, b: str, cfg: SimilarityConfig | None = None) -> float:
@@ -141,47 +201,6 @@ def edge_confidence(a: str, b: str, cfg: SimilarityConfig | None = None) -> floa
     labels), else 0. Labels must be non-empty after normalization.
     """
     cfg = cfg or SimilarityConfig()
-    na, nb = normalize_label(a, cfg), normalize_label(b, cfg)
-    if not na or not nb:
+    if not normalize_label(a, cfg) or not normalize_label(b, cfg):
         raise ValueError(f"labels must be non-empty after normalization: {a!r}, {b!r}")
-    sigma = edit_similarity(na, nb)
-    if sigma >= cfg.gamma:
-        return 1.0 / sigma
-    return 0.0
-
-
-def label_set_confidence(
-    s1: set[str] | frozenset[str],
-    s2: set[str] | frozenset[str],
-    cfg: SimilarityConfig | None = None,
-) -> float:
-    """Confidence of the most similar label pair across two label sets.
-
-    The pair with maximal sigma wins; its edge confidence is returned.
-    0 when either set is empty or no pair reaches gamma.
-    """
-    cfg = cfg or SimilarityConfig()
-    if not s1 or not s2:
-        return 0.0
-    best = 0.0
-    for a in s1:
-        na = normalize_label(a, cfg)
-        for b in s2:
-            sigma = edit_similarity(na, normalize_label(b, cfg))
-            if sigma > best:
-                best = sigma
-    if best >= cfg.gamma and best > 0.0:
-        return 1.0 / best
-    return 0.0
-
-
-def labels_share_exact_match(
-    s1: set[str] | frozenset[str],
-    s2: set[str] | frozenset[str],
-    cfg: SimilarityConfig | None = None,
-) -> bool:
-    """True when the two sets share an identical label after normalization."""
-    cfg = cfg or SimilarityConfig()
-    n1 = {normalize_label(a, cfg) for a in s1}
-    n2 = {normalize_label(b, cfg) for b in s2}
-    return bool(n1 & n2)
+    return label_set_confidence({a}, {b}, cfg)

@@ -183,6 +183,8 @@ def refine(
 ) -> Alignment:
     """Match the rescaled score matrix of a distribution over ``rows`` x
     ``cols`` and keep pairs scoring at least ``min_confidence``."""
+    if not 0.0 <= min_confidence <= 1.0:
+        raise ValueError(f"min_confidence must lie in [0, 1], got {min_confidence}")
     matrix = to_matrix(dist, rows, cols)
     correspondences = []
     for r, c in hungarian_max(matrix.values):
@@ -218,6 +220,8 @@ def load_alignment(path: str | Path) -> Alignment:
     text = path.read_text(encoding="utf-8")
     if str(path).endswith(".json"):
         doc = json.loads(text)
+        if not isinstance(doc, dict) or not isinstance(doc.get("correspondences", []), list):
+            raise ValueError(f"{path.name}: expected an object with a 'correspondences' list")
         correspondences = []
         for i, c in enumerate(doc.get("correspondences", [])):
             try:

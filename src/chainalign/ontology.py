@@ -144,6 +144,9 @@ def _load_json(text: str, name: str) -> OntologyGraph:
         ) from None
     if not isinstance(doc, dict):
         raise OntologyError(f"{name}: top-level value must be an object")
+    for key in ("terms", "edges"):
+        if not isinstance(doc.get(key, []), list):
+            raise OntologyError(f"{name}: '{key}' must be a list")
     terms = []
     for i, t in enumerate(doc.get("terms", [])):
         if not isinstance(t, dict) or "id" not in t:

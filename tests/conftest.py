@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from chainalign.chain import EDGE_CONFIDENCE, PairwiseChain
+from chainalign.chain import PairwiseChain
 from chainalign.ontology import LabeledEdge, OntologyGraph, Term, load_ontology
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -53,19 +53,19 @@ def zoo() -> OntologyGraph:
     return load_ontology(DATA_DIR / "zoo.json")
 
 
-def dense_chain(matrix, stochastic: bool = True, mode: str = EDGE_CONFIDENCE) -> PairwiseChain:
+def dense_chain(matrix, stochastic: bool = True) -> PairwiseChain:
     """Chain from a dense square matrix; zeros are not stored."""
-    return PairwiseChain(sparse.csr_matrix(np.asarray(matrix, dtype=float)), stochastic, mode)
+    return PairwiseChain(sparse.csr_matrix(np.asarray(matrix, dtype=float)), stochastic)
 
 
-def chain_from_rows(rows, stochastic: bool = False, mode: str = EDGE_CONFIDENCE) -> PairwiseChain:
+def chain_from_rows(rows, stochastic: bool = False) -> PairwiseChain:
     """Chain whose row i lists ``(column, weight)`` pairs sorted by column."""
     indptr = np.cumsum([0] + [len(r) for r in rows])
     cols = [c for r in rows for c, _ in r]
     weights = [w for r in rows for _, w in r]
     matrix = sparse.csr_matrix((np.array(weights, dtype=float), np.array(cols, dtype=np.int32),
                                 indptr), shape=(len(rows), len(rows)))
-    return PairwiseChain(matrix, stochastic, mode)
+    return PairwiseChain(matrix, stochastic)
 
 
 def support(chain) -> set[tuple[int, int]]:

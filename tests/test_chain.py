@@ -130,18 +130,6 @@ class TestNormalize:
         result = normalize(chain)
         assert result.transitions[1] == [(1, 1.0)]
 
-    def test_baseline_rows_normalize_uniformly(self):
-        chain = dense_chain(
-            [[0, 1, 1, 1], [0] * 4, [0] * 4, [0] * 4],
-            stochastic=False,
-            mode=BASELINE_SF,
-        )
-        assert normalize(chain).transitions[0] == [
-            (1, pytest.approx(1 / 3)),
-            (2, pytest.approx(1 / 3)),
-            (3, pytest.approx(1 / 3)),
-        ]
-
     def test_already_stochastic_rejected(self):
         chain = dense_chain([[1.0]], stochastic=True)
         with pytest.raises(ValueError, match="already stochastic"):
@@ -234,6 +222,13 @@ class TestInitialDistribution:
         g2 = make_graph(["has_a"], [])
         chain = build_upmc(g1, g2)
         assert initial_distribution(chain, g1, g2).tolist() == [1.0]
+
+
+class TestSolverConfig:
+    @pytest.mark.parametrize("epsilon", [0.0, -1e-9, float("nan")])
+    def test_non_positive_epsilon_rejected(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            SolverConfig(epsilon=epsilon)
 
 
 class TestIterate:
@@ -470,13 +465,10 @@ class TestChainValidation:
 class TestNormalizationOracle:
     """normalize and ergodic_transform reproduce the per-row oracle bit for bit."""
 
-    MODES = [("complement", False), ("formula", False), ("complement", True)]
-
-    def assert_matches_oracle(self, rows):
-        for norm_mode, baseline in self.MODES:
-            raw = chain_from_rows(rows, mode=BASELINE_SF if baseline else EDGE_CONFIDENCE)
+    def assert_matches_oracle(self, rows, baseline: bool = False):
+        for norm_mode in ("complement", "formula"):
             expected = normalize_rows(rows, norm_mode, baseline)
-            normalized = normalize(raw, norm_mode)
+            normalized = normalize(chain_from_rows(rows), norm_mode)
             assert normalized.transitions == expected
             for a in (0.85, 0.5, 0.1):
                 assert ergodic_transform(normalized, a).transitions == damp_rows(expected, a)
@@ -484,6 +476,16 @@ class TestNormalizationOracle:
     def test_random_raw_chains(self):
         for seed in range(200):
             self.assert_matches_oracle(random_raw_chain(random.Random(seed)).transitions)
+
+    def test_unit_weight_rows_normalize_uniformly(self):
+        # baseline-sf chains store only the weight 1.0, which both readings
+        # must turn into the oracle's uniform 1/outdegree
+        rng = random.Random(5)
+        for _ in range(100):
+            n = rng.randint(1, 80)
+            rows = [[(c, 1.0) for c in sorted(rng.sample(range(n), rng.randint(0, n)))]
+                    for _ in range(n)]
+            self.assert_matches_oracle(rows, baseline=True)
 
     def test_cancellation_row(self):
         self.assert_matches_oracle([[(1, 5.0), (2, 1e-300)], [], []])
@@ -538,3 +540,7 @@ class TestPairwiseOracle:
         assert chain.matrix.data.tolist() == data
         pi0 = initial_distribution(chain, g1, g2, cfg)
         assert pi0.tolist() == lexical_start(g1, g2, fold).tolist()
+        rows = chain.transitions
+        for norm_mode in ("complement", "formula"):
+            expected = normalize_rows(rows, norm_mode, baseline=mode == BASELINE_SF)
+            assert normalize(chain, norm_mode).transitions == expected

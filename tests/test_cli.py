@@ -245,3 +245,40 @@ class TestUsageAndConfig:
         code, _, err = run(capsys, "align", BIRDS, BIRDS, "--gamma", "1.5")
         assert code == 2
         assert "gamma" in err
+
+
+class TestMalformedInputs:
+    """Malformed inputs are data errors: exit 2 with the file named, no traceback."""
+
+    def test_alignment_json_that_is_not_an_object_exits_2(self, capsys, tmp_path):
+        alignment = tmp_path / "alignment.json"
+        alignment.write_text("[1, 2]", encoding="utf-8")
+        ref = write_identity_reference(tmp_path, "zoo.json")
+        code, _, err = run(capsys, "eval", str(alignment), ref)
+        assert code == 2
+        assert "alignment.json" in err
+
+    @pytest.mark.parametrize("doc", ['{"terms": 5}', '{"terms": [{"id": "A"}], "edges": {}}'])
+    def test_ontology_with_non_list_terms_or_edges_exits_2(self, capsys, tmp_path, doc):
+        bad = tmp_path / "bad.json"
+        bad.write_text(doc, encoding="utf-8")
+        code, _, err = run(capsys, "align", BIRDS, str(bad))
+        assert code == 2
+        assert "bad.json" in err
+
+    def test_directory_as_input_exits_2(self, capsys, tmp_path):
+        code, _, err = run(capsys, "align", BIRDS, str(tmp_path))
+        assert code == 2
+        assert str(tmp_path) in err
+
+    def test_nan_epsilon_exits_2(self, capsys):
+        code, _, err = run(capsys, "align", BIRDS, BIRDS, "--epsilon", "nan")
+        assert code == 2
+        assert "epsilon" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.5", "7"])
+    def test_min_confidence_outside_unit_interval_exits_2(self, capsys, value):
+        code, out, err = run(capsys, "align", BIRDS, BIRDS, "--min-confidence", value)
+        assert code == 2
+        assert out == ""
+        assert "min_confidence" in err

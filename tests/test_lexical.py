@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chainalign import lexical
@@ -12,6 +12,7 @@ from chainalign.lexical import (
     edge_confidence,
     edit_similarity,
     label_set_confidence,
+    labels_share_exact_match,
     levenshtein,
     levenshtein_matrix,
     normalize_label,
@@ -230,6 +231,22 @@ class TestLabelSetConfidence:
         )
         expected = 1.0 / best_sigma if best_sigma >= cfg.gamma else 0.0
         assert label_set_confidence(s1, s2, cfg) == expected
+
+
+class TestLabelsShareExactMatch:
+    # "_-" and "-" fold to ""; "Straße" and "STRASSE" fold to one label
+    labels = st.sets(st.sampled_from(["isA", "is_a", "IS-A", "isAn", "_-", "-", "Straße",
+                                      "STRASSE", "x"]), max_size=3)
+
+    @given(labels, labels, st.sampled_from(list(LabelNorm)))
+    @example(set(), set(), LabelNorm.FOLD)
+    @example({"x"}, set(), LabelNorm.FOLD)
+    @example({"_-"}, {"-"}, LabelNorm.FOLD)
+    @example({"_-"}, {"-"}, LabelNorm.NONE)
+    def test_matches_set_intersection(self, s1, s2, norm):
+        cfg = SimilarityConfig(label_normalization=norm)
+        expected = bool({normalize_label(a, cfg) for a in s1} & {normalize_label(b, cfg) for b in s2})
+        assert labels_share_exact_match(s1, s2, cfg) is expected
 
 
 class TestNormalizeLabel:

@@ -186,6 +186,11 @@ class TestRefine:
         alignment = refine(np.array([1.0]), *ids_for(1, 1), metadata={"gamma": 0.5})
         assert alignment.metadata == {"gamma": 0.5}
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.1, 1.5, 7.0])
+    def test_min_confidence_outside_unit_interval_rejected(self, bad):
+        with pytest.raises(ValueError, match="min_confidence must lie in"):
+            refine(np.array([1.0]), *ids_for(1, 1), min_confidence=bad)
+
 
 class TestAlignmentSerialization:
     def test_json_round_trip(self, tmp_path):
@@ -216,6 +221,13 @@ class TestAlignmentSerialization:
     def test_confidence_range_enforced(self):
         with pytest.raises(ValueError, match="confidence"):
             Alignment(correspondences=[Correspondence("A", "D", 1.5)])
+
+    @pytest.mark.parametrize("doc", ["[1, 2]", '{"correspondences": 5}'])
+    def test_json_without_correspondence_list_reported(self, tmp_path, doc):
+        path = tmp_path / "a.json"
+        path.write_text(doc, encoding="utf-8")
+        with pytest.raises(ValueError, match="a.json"):
+            load_alignment(path)
 
     def test_malformed_json_correspondence_reported(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -55,6 +55,12 @@ class TestLoadJson:
         assert g.edges[0].label == "subClassOf"
         assert g.adjacency[("A", "B")] == {"subClassOf"}
 
+    @pytest.mark.parametrize("key", ["terms", "edges"])
+    def test_non_list_section_rejected(self, tmp_path, key):
+        path = write(tmp_path, "g.json", f'{{"terms": [{{"id": "A"}}], "{key}": 5}}')
+        with pytest.raises(OntologyError, match=rf"g.json: '{key}' must be a list"):
+            load_ontology(path)
+
     def test_parse_error_reports_position(self, tmp_path):
         path = write(tmp_path, "g.json", '{"terms": [}')
         with pytest.raises(OntologyError, match=r"line 1"):
