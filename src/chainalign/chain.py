@@ -102,8 +102,8 @@ class SolverConfig:
     def __post_init__(self):
         if not self.epsilon > 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be positive, got {self.max_iters}")
+        if not isinstance(self.max_iters, int) or self.max_iters < 1:
+            raise ValueError(f"max_iters must be a positive integer, got {self.max_iters!r}")
         if not 0.0 < self.damping_a <= 1.0:
             raise ValueError(f"damping_a must lie in (0, 1], got {self.damping_a}")
         if self.method not in METHODS:
@@ -161,12 +161,11 @@ class PairwiseChain:
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Stationary distribution plus how it was obtained."""
+    """Stationary distribution, the iterations spent and whether they converged."""
 
     distribution: np.ndarray
     iterations: int
     converged: bool
-    method: str
 
 
 def _edges(g: OntologyGraph, scale: int):
@@ -276,10 +275,7 @@ def initial_distribution(
     dist = label_distances([g1.label(t) for t in g1.term_ids],
                            [g2.label(t) for t in g2.term_ids], cfg or SimilarityConfig())
     values = similarity_of_distance(dist.ravel())
-    total = values.sum()
-    if total <= 0.0:
-        return np.full(len(values), 1.0 / len(values))
-    return values / total
+    return values / values.sum()
 
 
 def iterate(chain: PairwiseChain, pi0: np.ndarray, cfg: SolverConfig | None = None) -> SolveResult:
@@ -304,8 +300,7 @@ def iterate(chain: PairwiseChain, pi0: np.ndarray, cfg: SolverConfig | None = No
             converged = True
             break
     pi = pi / pi.sum()
-    return SolveResult(distribution=pi, iterations=iterations,
-                       converged=converged, method=METHOD_ITERATIVE)
+    return SolveResult(distribution=pi, iterations=iterations, converged=converged)
 
 
 def steady_state(chain: PairwiseChain, cfg: SolverConfig | None = None) -> SolveResult:
@@ -331,8 +326,7 @@ def steady_state(chain: PairwiseChain, cfg: SolverConfig | None = None) -> Solve
     # stochastic row-sum tolerance)
     if np.array_equal(m.indptr, np.arange(n + 1)) and np.array_equal(m.indices, np.arange(n)):
         pi = np.full(n, 1.0 / n)
-        return SolveResult(distribution=pi, iterations=0, converged=True,
-                           method=METHOD_STEADY_STATE)
+        return SolveResult(distribution=pi, iterations=0, converged=True)
     count, labels = connected_components(m, directed=True, connection="strong")
     rows = np.repeat(np.arange(n), np.diff(m.indptr))
     leaving = labels[rows] != labels[m.indices]
@@ -359,8 +353,7 @@ def steady_state(chain: PairwiseChain, cfg: SolverConfig | None = None) -> Solve
         )
     pi = np.clip(pi, 0.0, None)
     pi = pi / pi.sum()
-    return SolveResult(distribution=pi, iterations=0, converged=True,
-                       method=METHOD_STEADY_STATE)
+    return SolveResult(distribution=pi, iterations=0, converged=True)
 
 
 def dump_triplets(chain: PairwiseChain) -> str:

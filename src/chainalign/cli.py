@@ -8,9 +8,12 @@ Subcommands::
     bench-gen <ont>                     seeded mutant ontology + reference
     dump-chain <ont1> <ont2>            sparse triplets of the transition matrix
 
-Exit codes: 0 success, 1 usage error, 2 data/parse error, 3 solver failure.
-A solve that stops at the iteration cap still exits 0, after one
-``chainalign: warning:`` line per such solve on stderr.
+Exit codes: 0 success, 1 usage error, 2 data error, 3 solver failure.
+A data error is malformed input, an input path that cannot be read, an
+output path that cannot be written, or a bad setting. Config-file values
+are checked like flags, before any input file is read. A solve that stops
+at the iteration cap still exits 0, after one ``chainalign: warning:``
+line per such solve on stderr.
 Flag defaults come from the library config dataclasses, so the CLI never
 drifts from the module-level defaults. An optional JSON config file may
 pre-set any flag; explicit flags win over the file.
@@ -43,7 +46,7 @@ from .evaluation import (
 )
 from .lexical import LabelNorm, SimilarityConfig
 from .matching import alignment_to_json, alignment_to_tsv, load_alignment
-from .ontology import OntologyError, load_ontology, save_ontology
+from .ontology import load_ontology, save_ontology
 from .pipeline import align, build_chain
 
 EXIT_OK = 0
@@ -51,6 +54,7 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_SOLVER = 3
 
+FORMATS = ("json", "tsv")
 _SIM_DEFAULTS = SimilarityConfig()
 _SOLVER_DEFAULTS = SolverConfig()
 
@@ -113,36 +117,46 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--label-norm", choices=[m.value for m in LabelNorm], default=None,
                    help="label canonicalization before comparison")
     p.add_argument("--seed", type=int, default=None, help="RNG seed for generators")
-    p.add_argument("--format", choices=["json", "tsv"], default=None,
+    p.add_argument("--format", choices=list(FORMATS), default=None,
                    help="alignment output format")
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """defaults < config file < explicit flags."""
+    """defaults < config file < explicit flags; every setting is checked here."""
     values: dict = {}
     config_path = getattr(args, "config", None)
     if config_path:
         try:
             doc = json.loads(Path(config_path).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
-            raise OntologyError(f"config file {config_path}: {exc}") from None
+            raise ValueError(f"config file {config_path}: {exc}") from None
         if not isinstance(doc, dict):
-            raise OntologyError(f"config file {config_path}: expected a JSON object")
-        known = {f.name for f in fields(RunConfig)}
-        unknown = set(doc) - known
+            raise ValueError(f"config file {config_path}: expected a JSON object")
+        kinds = {f.name: type(f.default) for f in fields(RunConfig)}
+        unknown = set(doc) - set(kinds)
         if unknown:
-            raise OntologyError(
+            raise ValueError(
                 f"config file {config_path}: unknown keys: {', '.join(sorted(unknown))}"
             )
+        for key, value in doc.items():
+            # an int is a fine float; JSON true/false load as bool, an int subclass
+            accepted = (int, float) if kinds[key] is float else kinds[key]
+            if isinstance(value, bool) or not isinstance(value, accepted):
+                raise ValueError(f"config file {config_path}: {key} must be "
+                                 f"{kinds[key].__name__}, got {value!r}")
         values.update(doc)
     for f in fields(RunConfig):
         flag = getattr(args, f.name, None)
         if flag is not None:
             values[f.name] = flag
     try:
-        return RunConfig(**values)
+        cfg = RunConfig(**values)
+        cfg.sim_config(), cfg.solver_config()  # the library configs check their fields
+        if cfg.format not in FORMATS:
+            raise ValueError(f"format must be one of {FORMATS}, got {cfg.format!r}")
     except (TypeError, ValueError) as exc:
-        raise OntologyError(f"invalid configuration: {exc}") from None
+        raise ValueError(f"invalid configuration: {exc}") from None
+    return cfg
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -194,18 +208,6 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _require_file(path: str) -> str:
-    if not Path(path).exists():
-        raise OntologyError(f"no such file: {path}")
-    if not Path(path).is_file():
-        raise OntologyError(f"not a file: {path}")
-    return path
-
-
-def _load_graph(path: str):
-    return load_ontology(_require_file(path))
-
-
 def _warn_unconverged(what: str, outcome) -> None:
     """One stderr line if ``outcome`` (a SolveResult or CompareRow) did not converge."""
     if not outcome.converged:
@@ -215,8 +217,8 @@ def _warn_unconverged(what: str, outcome) -> None:
 
 def _cmd_align(args) -> int:
     cfg = resolve_config(args)
-    g1 = _load_graph(args.ontology1)
-    g2 = _load_graph(args.ontology2)
+    g1 = load_ontology(args.ontology1)
+    g2 = load_ontology(args.ontology2)
     alignment, result = align(g1, g2, cfg.sim_config(), cfg.solver_config(), cfg.min_confidence)
     _warn_unconverged("the solve", result)
     text = alignment_to_json(alignment) if cfg.format == "json" else alignment_to_tsv(alignment)
@@ -225,11 +227,8 @@ def _cmd_align(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    try:
-        returned = load_alignment(_require_file(args.alignment)).pairs()
-        reference = load_reference(_require_file(args.reference))
-    except (ValueError, KeyError) as exc:
-        raise OntologyError(str(exc)) from None
+    returned = load_alignment(args.alignment).pairs()
+    reference = load_reference(args.reference)
     report = evaluate(returned, reference.pairs)
     print(
         f"precision={_fmt_metric(report.precision)} recall={_fmt_metric(report.recall)} "
@@ -241,9 +240,9 @@ def _cmd_eval(args) -> int:
 
 def _cmd_compare(args) -> int:
     cfg = resolve_config(args)
-    g1 = _load_graph(args.ontology1)
-    g2 = _load_graph(args.ontology2)
-    reference = load_reference(_require_file(args.reference))
+    g1 = load_ontology(args.ontology1)
+    g2 = load_ontology(args.ontology2)
+    reference = load_reference(args.reference)
     rows = compare(g1, g2, reference, cfg.sim_config(), cfg.solver_config(),
                    cfg.min_confidence, case=args.case)
     for row in rows:
@@ -254,7 +253,7 @@ def _cmd_compare(args) -> int:
 
 def _cmd_bench_gen(args) -> int:
     cfg = resolve_config(args)
-    g = _load_graph(args.ontology)
+    g = load_ontology(args.ontology)
     mutant, reference = synth_mutate(g, cfg.seed, args.mutation, args.rate)
     stem = Path(args.ontology).stem
     out_ont = args.out_ontology or f"{stem}.mutant.json"
@@ -267,8 +266,8 @@ def _cmd_bench_gen(args) -> int:
 
 def _cmd_dump_chain(args) -> int:
     cfg = resolve_config(args)
-    g1 = _load_graph(args.ontology1)
-    g2 = _load_graph(args.ontology2)
+    g1 = load_ontology(args.ontology1)
+    g2 = load_ontology(args.ontology2)
     chain = build_chain(g1, g2, cfg.sim_config(), cfg.solver_config(), damped=False)
     _emit(dump_triplets(chain), args.output)
     return EXIT_OK
@@ -294,7 +293,7 @@ def execute(argv: list[str] | None = None) -> int:
     except SolverError as exc:
         print(f"chainalign: solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except (OntologyError, FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"chainalign: error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

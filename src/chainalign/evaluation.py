@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .chain import BASELINE_SF, EDGE_CONFIDENCE, SolverConfig
 from .lexical import SimilarityConfig
-from .matching import Alignment
+from .matching import load_alignment
 from .ontology import LabeledEdge, OntologyGraph, Term
 from .pipeline import align
 
@@ -168,10 +168,6 @@ def comparison_csv(rows: list[CompareRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def reference_from_alignment(alignment: Alignment) -> ReferenceAlignment:
-    return ReferenceAlignment(pairs=frozenset(alignment.pairs()))
-
-
 def load_reference(path: str | Path) -> ReferenceAlignment:
     """Read a reference from 2/3-column TSV or the alignment JSON format.
 
@@ -179,9 +175,7 @@ def load_reference(path: str | Path) -> ReferenceAlignment:
     """
     path = Path(path)
     if str(path).endswith(".json"):
-        from .matching import load_alignment
-
-        return reference_from_alignment(load_alignment(path))
+        return ReferenceAlignment(pairs=frozenset(load_alignment(path).pairs()))
     pairs = set()
     for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.strip()

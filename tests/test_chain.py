@@ -230,6 +230,11 @@ class TestSolverConfig:
         with pytest.raises(ValueError, match="epsilon must be positive"):
             SolverConfig(epsilon=epsilon)
 
+    @pytest.mark.parametrize("max_iters", [2.5, "10", 0])
+    def test_max_iters_must_be_a_positive_integer(self, max_iters):
+        with pytest.raises(ValueError, match="max_iters must be a positive integer"):
+            SolverConfig(max_iters=max_iters)
+
 
 class TestIterate:
     def test_identity_chain_returns_pi0_after_one_step(self):

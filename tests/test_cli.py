@@ -282,3 +282,30 @@ class TestMalformedInputs:
         assert code == 2
         assert out == ""
         assert "min_confidence" in err
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("align", "gamma", "0.5"),
+        ("align", "damping", "0.5"),
+        ("align", "max_iters", 2.5),
+        ("align", "min_confidence", "0.5"),
+        ("bench-gen", "seed", [1]),
+        ("align", "format", "xml"),
+    ])
+    def test_bad_config_value_exits_2_before_any_input_is_read(
+        self, capsys, tmp_path, command, key, value
+    ):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({key: value}), encoding="utf-8")
+        missing = str(tmp_path / "missing.json")
+        inputs = [missing, missing] if command == "align" else [missing, "--mutation", "label-edit"]
+        code, out, err = run(capsys, command, *inputs, "--config", str(config))
+        assert code == 2
+        assert out == ""
+        assert key in err
+        assert "missing.json" not in err
+
+    def test_directory_as_output_exits_2(self, capsys, tmp_path):
+        code, out, err = run(capsys, "align", BIRDS, BIRDS, "-o", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert str(tmp_path) in err
