@@ -14,9 +14,11 @@ output path that cannot be written, or a bad setting. Config-file values
 are checked like flags, before any input file is read. A solve that stops
 at the iteration cap still exits 0, after one ``chainalign: warning:``
 line per such solve on stderr.
-Flag defaults come from the library config dataclasses, so the CLI never
-drifts from the module-level defaults. An optional JSON config file may
-pre-set any flag; explicit flags win over the file.
+Each subcommand takes only the run flags it reads (``compare --seed`` is
+the one exception: accepted, no effect). An optional JSON config file
+(``--config``) may pre-set exactly those flags, by field name; explicit
+flags win over the file. Flag defaults come from the library config
+dataclasses, so the CLI never drifts from the module-level defaults.
 """
 from __future__ import annotations
 
@@ -98,27 +100,32 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _add_run_flags(p: argparse.ArgumentParser) -> None:
-    # Defaults stay None so a config file can fill unset flags afterwards.
-    p.add_argument("--config", type=str, default=None, help="JSON file pre-setting any flag")
-    p.add_argument("--gamma", type=float, default=None, help="similarity threshold in [0, 1]")
-    p.add_argument("--epsilon", type=float, default=None, help="iteration convergence tolerance")
-    p.add_argument("--max-iters", type=int, default=None, help="iteration cap")
-    p.add_argument("--damping", type=float, default=None,
-                   help="ergodic damping weight a in (0, 1]; 1 disables damping")
-    p.add_argument("--method", choices=list(METHODS), default=None,
-                   help="stationary distribution solver")
-    p.add_argument("--norm", choices=list(NORM_MODES), default=None,
-                   help="row normalization reading")
-    p.add_argument("--mode", choices=list(CHAIN_MODES), default=None,
-                   help="pair-graph construction rule")
-    p.add_argument("--min-confidence", type=float, default=None,
-                   help="drop correspondences scoring below this")
-    p.add_argument("--label-norm", choices=[m.value for m in LabelNorm], default=None,
-                   help="label canonicalization before comparison")
-    p.add_argument("--seed", type=int, default=None, help="RNG seed for generators")
-    p.add_argument("--format", choices=list(FORMATS), default=None,
-                   help="alignment output format")
+# Each run flag once, by group; a subcommand takes only the groups it reads.
+_CHAIN = (
+    ("--gamma", dict(type=float, help="similarity threshold in [0, 1]")),
+    ("--label-norm", dict(choices=[m.value for m in LabelNorm],
+                          help="label canonicalization before comparison")),
+    ("--mode", dict(choices=list(CHAIN_MODES), help="pair-graph construction rule")),
+    ("--norm", dict(choices=list(NORM_MODES), help="row normalization reading")),
+)
+_SOLVE = (
+    ("--epsilon", dict(type=float, help="iteration convergence tolerance")),
+    ("--max-iters", dict(type=int, help="iteration cap")),
+    ("--damping", dict(type=float,
+                       help="ergodic damping weight a in (0, 1]; 1 disables damping")),
+    ("--method", dict(choices=list(METHODS), help="stationary distribution solver")),
+    ("--min-confidence", dict(type=float, help="drop correspondences scoring below this")),
+)
+_FORMAT = (("--format", dict(choices=list(FORMATS), help="alignment output format")),)
+_SEED = (("--seed", dict(type=int, help="RNG seed for bench-gen; no effect on compare")),)
+
+
+def _add_run_flags(p: argparse.ArgumentParser, *groups) -> None:
+    p.add_argument("--config", type=str, default=None,
+                   help="JSON file pre-setting this subcommand's run flags by field name")
+    for flag, options in (spec for group in groups for spec in group):
+        # Defaults stay None so a config file can fill unset flags afterwards.
+        p.add_argument(flag, default=None, **options)
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
@@ -132,12 +139,11 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             raise ValueError(f"config file {config_path}: {exc}") from None
         if not isinstance(doc, dict):
             raise ValueError(f"config file {config_path}: expected a JSON object")
-        kinds = {f.name: type(f.default) for f in fields(RunConfig)}
+        kinds = {f.name: type(f.default) for f in fields(RunConfig) if hasattr(args, f.name)}
         unknown = set(doc) - set(kinds)
         if unknown:
-            raise ValueError(
-                f"config file {config_path}: unknown keys: {', '.join(sorted(unknown))}"
-            )
+            raise ValueError(f"config file {config_path}: {args.command} does not take "
+                             f"{', '.join(sorted(unknown))}")
         for key, value in doc.items():
             # an int is a fine float; JSON true/false load as bool, an int subclass
             accepted = (int, float) if kinds[key] is float else kinds[key]
@@ -168,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_align.add_argument("ontology1")
     p_align.add_argument("ontology2")
     p_align.add_argument("-o", "--output", default=None, help="output path (default stdout)")
-    _add_run_flags(p_align)
+    _add_run_flags(p_align, _CHAIN, _SOLVE, _FORMAT)
 
     p_eval = sub.add_parser("eval", help="score an alignment against a reference")
     p_eval.add_argument("alignment")
@@ -180,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("reference")
     p_cmp.add_argument("-o", "--output", default=None, help="CSV path (default stdout)")
     p_cmp.add_argument("--case", default="case", help="case label for the CSV rows")
-    _add_run_flags(p_cmp)
+    _add_run_flags(p_cmp, _CHAIN, _SOLVE, _SEED)
 
     p_gen = sub.add_parser("bench-gen", help="generate a mutated benchmark case")
     p_gen.add_argument("ontology")
@@ -190,13 +196,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="mutant path (default <stem>.mutant.json)")
     p_gen.add_argument("--out-reference", default=None,
                        help="reference path (default <stem>.reference.tsv)")
-    _add_run_flags(p_gen)
+    _add_run_flags(p_gen, _SEED)
 
     p_dump = sub.add_parser("dump-chain", help="dump the normalized transition matrix")
     p_dump.add_argument("ontology1")
     p_dump.add_argument("ontology2")
     p_dump.add_argument("-o", "--output", default=None, help="CSV path (default stdout)")
-    _add_run_flags(p_dump)
+    _add_run_flags(p_dump, _CHAIN)
 
     return parser
 

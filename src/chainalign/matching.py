@@ -218,28 +218,38 @@ def load_alignment(path: str | Path) -> Alignment:
     """Read an alignment back from its JSON or TSV form."""
     path = Path(path)
     text = path.read_text(encoding="utf-8")
+    metadata = {}
+    correspondences = []
     if str(path).endswith(".json"):
-        doc = json.loads(text)
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path.name}: {exc}") from None
         if not isinstance(doc, dict) or not isinstance(doc.get("correspondences", []), list):
             raise ValueError(f"{path.name}: expected an object with a 'correspondences' list")
-        correspondences = []
+        metadata = doc.get("metadata", {})
         for i, c in enumerate(doc.get("correspondences", [])):
             try:
                 correspondences.append(
                     Correspondence(str(c["source"]), str(c["target"]), float(c["confidence"]))
                 )
-            except (KeyError, TypeError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(
                     f"{path.name}: correspondence #{i} is malformed: {exc}"
                 ) from None
-        return Alignment(correspondences=correspondences, metadata=doc.get("metadata", {}))
-    correspondences = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise ValueError(f"{path.name}: line {lineno}: expected 3 tab-separated fields")
-        correspondences.append(Correspondence(parts[0], parts[1], float(parts[2])))
-    return Alignment(correspondences=correspondences)
+    else:
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            parts = line.split("\t")
+            if len(parts) != 3:
+                raise ValueError(f"{path.name}: line {lineno}: expected 3 tab-separated fields")
+            try:
+                correspondences.append(Correspondence(parts[0], parts[1], float(parts[2])))
+            except ValueError as exc:
+                raise ValueError(f"{path.name}: line {lineno}: {exc}") from None
+    try:
+        return Alignment(correspondences=correspondences, metadata=metadata)
+    except ValueError as exc:
+        raise ValueError(f"{path.name}: {exc}") from None

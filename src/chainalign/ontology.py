@@ -113,12 +113,19 @@ def _make_graph(terms: list[Term], edges: list[LabeledEdge]) -> OntologyGraph:
     return OntologyGraph(terms=by_id, edges=edges)
 
 
+def _string(value, where: str, key: str) -> str:
+    if not isinstance(value, str):
+        raise OntologyError(f"{where}: {key!r} must be a JSON string, got {value!r}")
+    return value
+
+
 def _edge_from_json(obj: dict, index: int) -> LabeledEdge:
+    where = f"edge #{index}"
     try:
-        source = obj["from"]
-        target = obj["to"]
+        source = _string(obj["from"], where, "from")
+        target = _string(obj["to"], where, "to")
     except KeyError as exc:
-        raise OntologyError(f"edge #{index}: missing key {exc}") from None
+        raise OntologyError(f"{where}: missing key {exc}") from None
     kind_raw = obj.get("kind", "object")
     try:
         kind = EdgeKind(kind_raw)
@@ -129,9 +136,9 @@ def _edge_from_json(obj: dict, index: int) -> LabeledEdge:
     if kind is EdgeKind.HIERARCHY:
         label = HIERARCHY_LABEL
     else:
-        label = obj.get("label", "")
+        label = _string(obj.get("label", ""), where, "label")
         if not label:
-            raise OntologyError(f"edge #{index}: empty label")
+            raise OntologyError(f"{where}: empty label")
     return LabeledEdge(source=source, target=target, label=label, kind=kind)
 
 
@@ -147,17 +154,18 @@ def _load_json(text: str, name: str) -> OntologyGraph:
     for key in ("terms", "edges"):
         if not isinstance(doc.get(key, []), list):
             raise OntologyError(f"{name}: '{key}' must be a list")
-    terms = []
-    for i, t in enumerate(doc.get("terms", [])):
-        if not isinstance(t, dict) or "id" not in t:
-            raise OntologyError(f"{name}: term #{i}: expected an object with an 'id'")
-        terms.append(Term(id=str(t["id"]), label=str(t.get("label", t["id"]))))
-    edges = []
-    for i, e in enumerate(doc.get("edges", [])):
-        if not isinstance(e, dict):
-            raise OntologyError(f"{name}: edge #{i}: expected an object")
-        edges.append(_edge_from_json(e, i))
     try:
+        terms = []
+        for i, t in enumerate(doc.get("terms", [])):
+            if not isinstance(t, dict) or "id" not in t:
+                raise OntologyError(f"term #{i}: expected an object with an 'id'")
+            tid = _string(t["id"], f"term #{i}", "id")
+            terms.append(Term(id=tid, label=_string(t.get("label", tid), f"term #{i}", "label")))
+        edges = []
+        for i, e in enumerate(doc.get("edges", [])):
+            if not isinstance(e, dict):
+                raise OntologyError(f"edge #{i}: expected an object")
+            edges.append(_edge_from_json(e, i))
         return _make_graph(terms, edges)
     except OntologyError as exc:
         raise OntologyError(f"{name}: {exc}") from None

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -16,6 +17,28 @@ def run(capsys, *argv):
     code = execute(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# one valid value per run flag, and the run flags each subcommand takes
+FLAG_VALUES = {
+    "--gamma": "0.5", "--label-norm": "fold", "--mode": "edge-confidence",
+    "--norm": "complement", "--epsilon": "1e-9", "--max-iters": "10", "--damping": "0.85",
+    "--method": "iterative", "--min-confidence": "0", "--format": "json", "--seed": "1",
+}
+CHAIN_FLAGS = {"--gamma", "--label-norm", "--mode", "--norm"}
+SOLVE_FLAGS = {"--epsilon", "--max-iters", "--damping", "--method", "--min-confidence"}
+RUN_FLAGS_TAKEN = {
+    "align": CHAIN_FLAGS | SOLVE_FLAGS | {"--format"},
+    "compare": CHAIN_FLAGS | SOLVE_FLAGS | {"--seed"},
+    "dump-chain": CHAIN_FLAGS,
+    "bench-gen": {"--seed"},
+}
+RUN_FLAGS_NOT_TAKEN = [
+    (command, flag)
+    for command, taken in RUN_FLAGS_TAKEN.items()
+    for flag in FLAG_VALUES
+    if flag not in taken
+]
 
 
 def write_identity_reference(tmp_path, graph_path):
@@ -241,6 +264,59 @@ class TestUsageAndConfig:
         assert code == 2
         assert "gama" in err
 
+    @pytest.mark.parametrize("command, flag", RUN_FLAGS_NOT_TAKEN)
+    def test_run_flag_the_subcommand_does_not_read_exits_1(self, capsys, tmp_path, command, flag):
+        if command == "bench-gen":
+            inputs = [ZOO, "--mutation", "label-edit", "--out-ontology", str(tmp_path / "m.json"),
+                      "--out-reference", str(tmp_path / "r.tsv")]
+        elif command == "compare":
+            inputs = [ZOO, ZOO, write_identity_reference(tmp_path, "zoo.json")]
+        else:
+            inputs = [BIRDS, ZOO]
+        code, out, err = run(capsys, command, *inputs, flag, FLAG_VALUES[flag])
+        assert code == 1
+        assert out == ""
+        assert f"unrecognized arguments: {flag}" in err
+
+    @pytest.mark.parametrize("command", list(RUN_FLAGS_TAKEN))
+    def test_help_lists_exactly_the_flags_taken(self, capsys, command):
+        own = {
+            "align": {"--output"},
+            "compare": {"--output", "--case"},
+            "dump-chain": {"--output"},
+            "bench-gen": {"--mutation", "--rate", "--out-ontology", "--out-reference"},
+        }
+        code, out, _ = run(capsys, command, "--help")
+        assert code == 0
+        listed = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", out))
+        assert listed == {"--help", "--config"} | own[command] | RUN_FLAGS_TAKEN[command]
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("dump-chain", "method", "steady-state"),
+        ("dump-chain", "min_confidence", 0.5),
+        ("dump-chain", "format", "tsv"),
+        ("bench-gen", "gamma", 0.5),
+        ("compare", "format", "tsv"),
+        ("align", "seed", 1),
+    ])
+    def test_config_key_the_subcommand_does_not_read_exits_2_before_any_input_is_read(
+        self, capsys, tmp_path, command, key, value
+    ):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({key: value}), encoding="utf-8")
+        missing = str(tmp_path / "missing.json")
+        inputs = {
+            "align": [missing, missing],
+            "compare": [missing, missing, missing],
+            "dump-chain": [missing, missing],
+            "bench-gen": [missing, "--mutation", "label-edit"],
+        }[command]
+        code, out, err = run(capsys, command, *inputs, "--config", str(config))
+        assert code == 2
+        assert out == ""
+        assert f"{command} does not take {key}" in err
+        assert "missing.json" not in err
+
     def test_invalid_flag_value_exits_2(self, capsys):
         code, _, err = run(capsys, "align", BIRDS, BIRDS, "--gamma", "1.5")
         assert code == 2
@@ -265,6 +341,22 @@ class TestMalformedInputs:
         code, _, err = run(capsys, "align", BIRDS, str(bad))
         assert code == 2
         assert "bad.json" in err
+
+    @pytest.mark.parametrize("command", ["align", "bench-gen"])
+    def test_non_string_edge_label_exits_2(self, capsys, tmp_path, command):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"terms": [{"id": "A"}, {"id": "B"}],'
+                       ' "edges": [{"from": "A", "to": "B", "label": 5}]}', encoding="utf-8")
+        if command == "align":
+            inputs = [str(bad), str(bad)]
+        else:
+            inputs = [str(bad), "--mutation", "label-edit",
+                      "--out-ontology", str(tmp_path / "m.json"),
+                      "--out-reference", str(tmp_path / "r.tsv")]
+        code, out, err = run(capsys, command, *inputs)
+        assert code == 2
+        assert out == ""
+        assert "bad.json: edge #0: 'label' must be a JSON string" in err
 
     def test_directory_as_input_exits_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "align", BIRDS, str(tmp_path))

@@ -234,3 +234,25 @@ class TestAlignmentSerialization:
         path.write_text('{"correspondences": [{"source": "A"}]}', encoding="utf-8")
         with pytest.raises(ValueError, match="malformed"):
             load_alignment(path)
+
+    @pytest.mark.parametrize("name, text, entry", [
+        ("a.json", '{"correspondences": [{"source": "A", "target": "D", "confidence": "abc"}]}',
+         "correspondence #0"),
+        ("a.tsv", "A\tD\tabc\n", "line 1"),
+        ("a.json", '{"correspondences": [{"source": "A", "target": "D", "confidence": 2.0}]}',
+         "source='A', target='D'"),
+        ("a.tsv", "A\tD\t1.0\nB\tE\t2.0\n", "source='B', target='E'"),
+    ], ids=["json-not-a-number", "tsv-not-a-number", "json-out-of-range", "tsv-out-of-range"])
+    def test_bad_confidence_names_file_and_entry(self, tmp_path, name, text, entry):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            load_alignment(path)
+        assert str(info.value).startswith(f"{name}: ")
+        assert entry in str(info.value)
+
+    def test_json_parse_error_names_file(self, tmp_path):
+        path = tmp_path / "a.json"
+        path.write_text('{"correspondences": [', encoding="utf-8")
+        with pytest.raises(ValueError, match=r"^a.json: "):
+            load_alignment(path)

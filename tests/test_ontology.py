@@ -102,6 +102,21 @@ class TestLoadJson:
             load_ontology(path)
 
 
+    @pytest.mark.parametrize("doc, where", [
+        ('{"terms":[{"id":"A"},{"id":"B"}],"edges":[{"from":"A","to":"B","label":5}]}',
+         "edge #0: 'label'"),
+        ('{"terms":[{"id":"A","label":null}]}', "term #0: 'label'"),
+        ('{"terms":[{"id":"A"},{"id":1}],"edges":[{"from":1,"to":"A","label":"m"}]}',
+         "term #1: 'id'"),
+        ('{"terms":[{"id":"A"},{"id":"1"}],"edges":[{"from":1,"to":"A","label":"m"}]}',
+         "edge #0: 'from'"),
+    ], ids=["edge-label-number", "term-label-null", "term-id-number", "edge-from-number"])
+    def test_non_string_id_label_or_endpoint_rejected(self, tmp_path, doc, where):
+        path = write(tmp_path, "g.json", doc)
+        with pytest.raises(OntologyError, match=rf"g.json: {where} must be a JSON string"):
+            load_ontology(path)
+
+
 class TestLoadTriples:
     def test_single_line_matches_json_form(self, tmp_path):
         t = load_ontology(write(tmp_path, "g.txt", "A m B\n"))
