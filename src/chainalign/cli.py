@@ -100,34 +100,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-# Each run flag once, by group; a subcommand takes only the groups it reads.
-_CHAIN = (
-    ("--gamma", dict(type=float, help="similarity threshold in [0, 1]")),
-    ("--label-norm", dict(choices=[m.value for m in LabelNorm],
-                          help="label canonicalization before comparison")),
-    ("--mode", dict(choices=list(CHAIN_MODES), help="pair-graph construction rule")),
-    ("--norm", dict(choices=list(NORM_MODES), help="row normalization reading")),
-)
-_SOLVE = (
-    ("--epsilon", dict(type=float, help="iteration convergence tolerance")),
-    ("--max-iters", dict(type=int, help="iteration cap")),
-    ("--damping", dict(type=float,
-                       help="ergodic damping weight a in (0, 1]; 1 disables damping")),
-    ("--method", dict(choices=list(METHODS), help="stationary distribution solver")),
-    ("--min-confidence", dict(type=float, help="drop correspondences scoring below this")),
-)
-_FORMAT = (("--format", dict(choices=list(FORMATS), help="alignment output format")),)
-_SEED = (("--seed", dict(type=int, help="RNG seed for bench-gen; no effect on compare")),)
-
-
-def _add_run_flags(p: argparse.ArgumentParser, *groups) -> None:
-    p.add_argument("--config", type=str, default=None,
-                   help="JSON file pre-setting this subcommand's run flags by field name")
-    for flag, options in (spec for group in groups for spec in group):
-        # Defaults stay None so a config file can fill unset flags afterwards.
-        p.add_argument(flag, default=None, **options)
-
-
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """defaults < config file < explicit flags; every setting is checked here."""
     values: dict = {}
@@ -166,29 +138,52 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # Each run flag once, in a parent parser per group; a subcommand takes only
+    # the groups it reads. Defaults stay None so a config file can fill unset flags.
+    config, chain, mode, solve, fmt, seed = (
+        argparse.ArgumentParser(add_help=False) for _ in range(6))
+    config.add_argument("--config",
+                        help="JSON file pre-setting this subcommand's run flags by field name")
+    chain.add_argument("--gamma", type=float, help="similarity threshold in [0, 1]")
+    chain.add_argument("--label-norm", choices=[m.value for m in LabelNorm],
+                       help="label canonicalization before comparison")
+    chain.add_argument("--norm", choices=list(NORM_MODES), help="row normalization reading")
+    mode.add_argument("--mode", choices=list(CHAIN_MODES), help="pair-graph construction rule")
+    solve.add_argument("--epsilon", type=float, help="iteration convergence tolerance")
+    solve.add_argument("--max-iters", type=int, help="iteration cap")
+    solve.add_argument("--damping", type=float,
+                       help="ergodic damping weight a in (0, 1]; 1 disables damping")
+    solve.add_argument("--method", choices=list(METHODS), help="stationary distribution solver")
+    solve.add_argument("--min-confidence", type=float,
+                       help="drop correspondences scoring below this")
+    fmt.add_argument("--format", choices=list(FORMATS), help="alignment output format")
+    seed.add_argument("--seed", type=int, help="RNG seed for bench-gen; no effect on compare")
+
     parser = _Parser(prog="chainalign",
                      description="Align two ontologies via a pairwise Markov chain")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_align = sub.add_parser("align", parents=[], help="align two ontologies")
+    p_align = sub.add_parser("align", parents=[config, chain, mode, solve, fmt],
+                             help="align two ontologies")
     p_align.add_argument("ontology1")
     p_align.add_argument("ontology2")
     p_align.add_argument("-o", "--output", default=None, help="output path (default stdout)")
-    _add_run_flags(p_align, _CHAIN, _SOLVE, _FORMAT)
 
     p_eval = sub.add_parser("eval", help="score an alignment against a reference")
     p_eval.add_argument("alignment")
     p_eval.add_argument("reference")
 
-    p_cmp = sub.add_parser("compare", help="baseline-sf vs edge-confidence on one case")
+    # compare runs both chain modes itself, so it takes no --mode
+    p_cmp = sub.add_parser("compare", parents=[config, chain, solve, seed],
+                           help="baseline-sf vs edge-confidence on one case")
     p_cmp.add_argument("ontology1")
     p_cmp.add_argument("ontology2")
     p_cmp.add_argument("reference")
     p_cmp.add_argument("-o", "--output", default=None, help="CSV path (default stdout)")
     p_cmp.add_argument("--case", default="case", help="case label for the CSV rows")
-    _add_run_flags(p_cmp, _CHAIN, _SOLVE, _SEED)
 
-    p_gen = sub.add_parser("bench-gen", help="generate a mutated benchmark case")
+    p_gen = sub.add_parser("bench-gen", parents=[config, seed],
+                           help="generate a mutated benchmark case")
     p_gen.add_argument("ontology")
     p_gen.add_argument("--mutation", choices=list(MUTATIONS), required=True)
     p_gen.add_argument("--rate", type=float, default=0.1, help="drop rate for edge-drop")
@@ -196,13 +191,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="mutant path (default <stem>.mutant.json)")
     p_gen.add_argument("--out-reference", default=None,
                        help="reference path (default <stem>.reference.tsv)")
-    _add_run_flags(p_gen, _SEED)
 
-    p_dump = sub.add_parser("dump-chain", help="dump the normalized transition matrix")
+    # dump-chain dumps the undamped chain, so no solve flag applies
+    p_dump = sub.add_parser("dump-chain", parents=[config, chain, mode],
+                            help="dump the normalized transition matrix")
     p_dump.add_argument("ontology1")
     p_dump.add_argument("ontology2")
     p_dump.add_argument("-o", "--output", default=None, help="CSV path (default stdout)")
-    _add_run_flags(p_dump, _CHAIN)
 
     return parser
 

@@ -131,7 +131,7 @@ def _edge_from_json(obj: dict, index: int) -> LabeledEdge:
         kind = EdgeKind(kind_raw)
     except ValueError:
         raise OntologyError(
-            f"edge #{index}: kind must be 'object' or 'hierarchy', got {kind_raw!r}"
+            f"{where}: kind must be 'object' or 'hierarchy', got {kind_raw!r}"
         ) from None
     if kind is EdgeKind.HIERARCHY:
         label = HIERARCHY_LABEL

@@ -25,12 +25,12 @@ FLAG_VALUES = {
     "--norm": "complement", "--epsilon": "1e-9", "--max-iters": "10", "--damping": "0.85",
     "--method": "iterative", "--min-confidence": "0", "--format": "json", "--seed": "1",
 }
-CHAIN_FLAGS = {"--gamma", "--label-norm", "--mode", "--norm"}
+CHAIN_FLAGS = {"--gamma", "--label-norm", "--norm"}
 SOLVE_FLAGS = {"--epsilon", "--max-iters", "--damping", "--method", "--min-confidence"}
 RUN_FLAGS_TAKEN = {
-    "align": CHAIN_FLAGS | SOLVE_FLAGS | {"--format"},
+    "align": CHAIN_FLAGS | {"--mode"} | SOLVE_FLAGS | {"--format"},
     "compare": CHAIN_FLAGS | SOLVE_FLAGS | {"--seed"},
-    "dump-chain": CHAIN_FLAGS,
+    "dump-chain": CHAIN_FLAGS | {"--mode"},
     "bench-gen": {"--seed"},
 }
 RUN_FLAGS_NOT_TAKEN = [
@@ -297,6 +297,7 @@ class TestUsageAndConfig:
         ("dump-chain", "format", "tsv"),
         ("bench-gen", "gamma", 0.5),
         ("compare", "format", "tsv"),
+        ("compare", "mode", "baseline-sf"),
         ("align", "seed", 1),
     ])
     def test_config_key_the_subcommand_does_not_read_exits_2_before_any_input_is_read(
