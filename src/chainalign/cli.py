@@ -11,7 +11,8 @@ Subcommands::
 Exit codes: 0 success, 1 usage error, 2 data error, 3 solver failure.
 A data error is malformed input, an input path that cannot be read, an
 output path that cannot be written, or a bad setting. Config-file values
-are checked like flags, before any input file is read. A solve that stops
+are checked like flags, and output paths are checked (not a directory, in
+an existing directory), before any input file is read. A solve that stops
 at the iteration cap still exits 0, after one ``chainalign: warning:``
 line per such solve on stderr.
 Each subcommand takes only the run flags it reads (``compare --seed`` is
@@ -202,6 +203,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_outputs(*paths: str | None) -> None:
+    """Refuse an output path that cannot become a file, before any work is
+    done; nothing is created or truncated here."""
+    for path in filter(None, paths):
+        if Path(path).is_dir():
+            raise ValueError(f"output path {path} is a directory")
+        if not Path(path).parent.is_dir():
+            raise ValueError(f"output path {path}: {Path(path).parent} is not a directory")
+
+
 def _emit(text: str, output: str | None) -> None:
     if output:
         Path(output).write_text(text, encoding="utf-8")
@@ -218,6 +229,7 @@ def _warn_unconverged(what: str, outcome) -> None:
 
 def _cmd_align(args) -> int:
     cfg = resolve_config(args)
+    _check_outputs(args.output)
     g1 = load_ontology(args.ontology1)
     g2 = load_ontology(args.ontology2)
     alignment, result = align(g1, g2, cfg.sim_config(), cfg.solver_config(), cfg.min_confidence)
@@ -241,6 +253,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_compare(args) -> int:
     cfg = resolve_config(args)
+    _check_outputs(args.output)
     g1 = load_ontology(args.ontology1)
     g2 = load_ontology(args.ontology2)
     reference = load_reference(args.reference)
@@ -254,11 +267,12 @@ def _cmd_compare(args) -> int:
 
 def _cmd_bench_gen(args) -> int:
     cfg = resolve_config(args)
-    g = load_ontology(args.ontology)
-    mutant, reference = synth_mutate(g, cfg.seed, args.mutation, args.rate)
     stem = Path(args.ontology).stem
     out_ont = args.out_ontology or f"{stem}.mutant.json"
     out_ref = args.out_reference or f"{stem}.reference.tsv"
+    _check_outputs(out_ont, out_ref)
+    g = load_ontology(args.ontology)
+    mutant, reference = synth_mutate(g, cfg.seed, args.mutation, args.rate)
     save_ontology(mutant, out_ont, "json")
     Path(out_ref).write_text(reference_to_tsv(reference), encoding="utf-8")
     print(f"wrote {out_ont} and {out_ref}", file=sys.stderr)
@@ -267,6 +281,7 @@ def _cmd_bench_gen(args) -> int:
 
 def _cmd_dump_chain(args) -> int:
     cfg = resolve_config(args)
+    _check_outputs(args.output)
     g1 = load_ontology(args.ontology1)
     g2 = load_ontology(args.ontology2)
     chain = build_chain(g1, g2, cfg.sim_config(), cfg.solver_config(), damped=False)

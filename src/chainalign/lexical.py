@@ -4,11 +4,13 @@ pair of label sets.
 ``levenshtein`` is the classic insert/delete/substitute edit distance of
 two strings. ``levenshtein_matrix`` gives the same distance for every
 pair of two label lists at once: the Wagner-Fischer recurrence (J. ACM,
-1974) run as one numpy step per character of the left-hand labels, over
-all pairs together, in blocks of left-hand labels that keep the working
-array near 2^18 int32 cells. ``label_distances`` normalizes two label
-lists and scores each distinct pair once through the matrix form.
-``similarity_of_distance`` maps a distance L to a score sigma in (0, 1]:
+1974) run as one step per character of the left-hand labels, over all
+pairs together, in blocks of left-hand labels that keep each working
+array near 2^18 int32 cells. Its DP columns are the arrays' leading axis,
+so each column of a block is one contiguous row over all its pairs.
+``label_distances`` normalizes two label lists and scores each distinct
+pair once through the matrix form. ``similarity_of_distance`` maps a
+distance L to a score sigma in (0, 1]:
 
     1    if L = 0
     3/4  if L = 1
@@ -18,7 +20,8 @@ lists and scores each distinct pair once through the matrix form.
 every pair of label sets it takes the least distance d between their
 labels and returns the edge-confidence weight 1/sigma(d) when
 sigma(d) >= ``gamma``, else 0, so its nonzero range is [1, 1/gamma]; or
-similarity flooding's weight, 1 on an exact match (d = 0), else 0.
+similarity flooding's weight, 1 on an exact match (d = 0), else 0, which
+it reads from label equality without computing any edit distance.
 Downstream row normalization decides how those raw weights are turned
 into transition probabilities. ``edit_similarity``, ``edge_confidence``,
 ``label_set_confidence`` and ``labels_share_exact_match`` are the same
@@ -79,7 +82,7 @@ def levenshtein(a: str, b: str) -> int:
     return previous[len(b)]
 
 
-# cells of the (rows, len(b), longest b + 1) working array per block of rows of a
+# cells of the (longest b + 1, rows, len(b)) working array per block of rows of a
 _BLOCK_CELLS = 1 << 18
 
 
@@ -87,41 +90,56 @@ def _code_points(labels: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     """Code points of each label, right-padded with zeros, and the lengths."""
     lengths = np.array([len(s) for s in labels], dtype=np.int64)
     points = np.zeros((len(labels), int(lengths.max(initial=0))), dtype=np.int32)
-    for i, s in enumerate(labels):
-        points[i, :len(s)] = [ord(c) for c in s]
+    # row-major fill of each row's first len(s) cells; surrogatepass keeps a
+    # lone surrogate as its own code point, as ord() does
+    points[np.arange(points.shape[1]) < lengths[:, None]] = np.frombuffer(
+        "".join(labels).encode("utf-32-le", "surrogatepass"), dtype=np.int32)
     return points, lengths
 
 
 def levenshtein_matrix(a: Sequence[str], b: Sequence[str]) -> np.ndarray:
     """``levenshtein(a[i], b[j])`` for every pair, as an int array of shape (len(a), len(b)).
 
-    Row k of the recurrence is computed for all pairs at once. Its
-    insertion term cur[j] = min(best[j], cur[j-1] + 1) unrolls to
-    j + min over j' <= j of (best[j'] - j'), a running minimum. Each pair's
-    distance is read at row len(a[i]), column len(b[j]), which depend on
-    no padded character, so the padding value does not matter.
+    The working arrays have shape (longest b + 1, rows, len(b)), so DP
+    column j of every pair in a block of left-hand labels is one
+    contiguous row. Step k, for character k of the left-hand labels, sets
+    column 0 to k, takes the deletion and substitution terms
+    min(prev[j] + 1, prev[j-1] + (a_k != b_j)) for all columns at once,
+    then adds the insertion term cur[j-1] + 1 column by column. Each
+    pair's distance is read after step len(a[i]) at column len(b[j]),
+    which depend on no padded character, so the padding value does not
+    matter.
     """
     out = np.empty((len(a), len(b)), dtype=np.int32)
     if not len(a) or not len(b):
         return out
     points_b, len_b = _code_points(b)
-    cols = np.arange(points_b.shape[1] + 1, dtype=np.int32)
+    width = points_b.shape[1] + 1
+    # character j of every b label, against DP column j + 1
+    points_b = np.ascontiguousarray(points_b.T)[:, None, :]
     pairs = np.arange(len(b))
-    block = max(1, _BLOCK_CELLS // (len(b) * len(cols)))
+    block = max(1, _BLOCK_CELLS // (len(b) * width))
     for start in range(0, len(a), block):
         points_a, len_a = _code_points(a[start:start + block])
         rows = len(len_a)
         dist = out[start:start + rows]
         dist[len_a == 0] = len_b
-        prev = np.broadcast_to(cols, (rows, len(b), len(cols)))
-        best = np.empty((rows, len(b), len(cols)), dtype=np.int32)
+        prev = np.empty((width, rows, len(b)), dtype=np.int32)
+        prev[:] = np.arange(width, dtype=np.int32)[:, None, None]
+        cur = np.empty_like(prev)
         for k in range(1, points_a.shape[1] + 1):
-            ch = points_a[:, k - 1, None, None]
-            best[..., 0] = k
-            np.minimum(prev[..., 1:] + 1, prev[..., :-1] + (points_b != ch), out=best[..., 1:])
-            prev = cols + np.minimum.accumulate(best - cols, axis=2)
-            done = len_a == k
-            dist[done] = prev[done][:, pairs, len_b]
+            # in place, as fresh temporaries this size cost more than the
+            # arithmetic; prev is overwritten in the next step anyway
+            cur[0] = k
+            np.not_equal(points_b, points_a[:, k - 1, None], out=cur[1:])
+            cur[1:] += prev[:-1]
+            prev += 1
+            np.minimum(cur[1:], prev[1:], out=cur[1:])
+            for j in range(1, width):
+                np.minimum(cur[j], cur[j - 1] + 1, out=cur[j])
+            prev, cur = cur, prev
+            done = np.flatnonzero(len_a == k)
+            dist[done] = prev[len_b, done[:, None], pairs]
     return out
 
 
@@ -143,13 +161,20 @@ def _distinct(labels: list[str]) -> tuple[list[str], np.ndarray]:
     return list(ids), np.array(inverse, dtype=np.intp)
 
 
+def _distances(labels1: list[str], labels2: list[str]) -> np.ndarray:
+    """Edit distance of every pair of two normalized label lists; each
+    distinct pair is scored once."""
+    distinct1, at1 = _distinct(labels1)
+    distinct2, at2 = _distinct(labels2)
+    return levenshtein_matrix(distinct1, distinct2)[np.ix_(at1, at2)]
+
+
 def label_distances(labels1: Sequence[str], labels2: Sequence[str],
                     cfg: SimilarityConfig) -> np.ndarray:
     """Edit distance between the normalized forms of every pair of labels,
     shape (len(labels1), len(labels2)); each distinct pair is scored once."""
-    distinct1, at1 = _distinct([normalize_label(s, cfg) for s in labels1])
-    distinct2, at2 = _distinct([normalize_label(s, cfg) for s in labels2])
-    return levenshtein_matrix(distinct1, distinct2)[np.ix_(at1, at2)]
+    return _distances([normalize_label(s, cfg) for s in labels1],
+                      [normalize_label(s, cfg) for s in labels2])
 
 
 def label_set_weights(sets1: Sequence[Collection[str]], sets2: Sequence[Collection[str]],
@@ -160,10 +185,19 @@ def label_set_weights(sets1: Sequence[Collection[str]], sets2: Sequence[Collecti
     their normalized labels, because sigma falls strictly as d grows:
     1/sigma(d) when sigma(d) >= gamma, else 0. With ``exact``, similarity
     flooding's rule: 1 when d = 0, that is when the sets share a
-    normalized label, else 0.
+    normalized label, else 0; label equality decides that, with no edit
+    distance computed.
     """
-    dist = label_distances([s for group in sets1 for s in group],
-                           [s for group in sets2 for s in group], cfg)
+    labels1 = [normalize_label(s, cfg) for group in sets1 for s in group]
+    labels2 = [normalize_label(s, cfg) for group in sets2 for s in group]
+    if exact:
+        # one id per distinct label across both sides: d = 0 iff the ids agree
+        ids: dict[str, int] = {}
+        id1 = np.array([ids.setdefault(s, len(ids)) for s in labels1])
+        id2 = np.array([ids.setdefault(s, len(ids)) for s in labels2])
+        dist = id1[:, None] != id2[None, :]
+    else:
+        dist = _distances(labels1, labels2)
     # minimum over each set's rows, then over each set's columns
     starts1 = np.cumsum([0] + [len(group) for group in sets1[:-1]])
     starts2 = np.cumsum([0] + [len(group) for group in sets2[:-1]])

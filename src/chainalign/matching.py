@@ -230,9 +230,10 @@ def load_alignment(path: str | Path) -> Alignment:
         metadata = doc.get("metadata", {})
         for i, c in enumerate(doc.get("correspondences", [])):
             try:
-                correspondences.append(
-                    Correspondence(str(c["source"]), str(c["target"]), float(c["confidence"]))
-                )
+                ids = c["source"], c["target"]
+                if not all(isinstance(x, str) for x in ids):
+                    raise TypeError(f"source and target must be JSON strings, got {ids!r}")
+                correspondences.append(Correspondence(*ids, float(c["confidence"])))
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(
                     f"{path.name}: correspondence #{i} is malformed: {exc}"

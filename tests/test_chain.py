@@ -2,6 +2,7 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,7 +24,14 @@ from chainalign.chain import (
     normalize,
     steady_state,
 )
-from chainalign.lexical import LabelNorm, SimilarityConfig
+from chainalign import lexical
+from chainalign.lexical import (
+    LabelNorm,
+    SimilarityConfig,
+    labels_share_exact_match,
+    levenshtein,
+    normalize_label,
+)
 from chainalign.ontology import LabeledEdge, OntologyGraph, Term
 
 from conftest import (
@@ -549,3 +557,32 @@ class TestPairwiseOracle:
         for norm_mode in ("complement", "formula"):
             expected = normalize_rows(rows, norm_mode, baseline=mode == BASELINE_SF)
             assert normalize(chain, norm_mode).transitions == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(labeled_graphs(), labeled_graphs(), st.sampled_from(list(LabelNorm)))
+    def test_baseline_sf_computes_no_edit_distance(self, g1, g2, norm):
+        cfg = SimilarityConfig(label_normalization=norm)
+        sets1, sets2 = list(g1.adjacency.values()), list(g2.adjacency.values())
+        with mock.patch.object(lexical, "levenshtein_matrix",
+                               side_effect=AssertionError("edit-distance kernel called")):
+            chain = build_upmc(g1, g2, cfg, BASELINE_SF)
+            shared = [[labels_share_exact_match(s1, s2, cfg) for s2 in sets2] for s1 in sets1]
+        # at gamma 1 the edge-confidence oracle keeps exactly the pairs at
+        # edit distance 0, each with weight 1
+        indptr, indices, data = pair_chain_arrays(g1, g2, 1.0, norm is LabelNorm.FOLD, False)
+        assert chain.matrix.indptr.tolist() == indptr
+        assert chain.matrix.indices.tolist() == indices
+        assert chain.matrix.data.tolist() == data
+        norm1 = [[normalize_label(a, cfg) for a in s] for s in sets1]
+        norm2 = [[normalize_label(b, cfg) for b in s] for s in sets2]
+        assert shared == [[any(levenshtein(a, b) == 0 for a in n1 for b in n2) for n2 in norm2]
+                          for n1 in norm1]
+
+    def test_edit_distance_kernel_runs_once_per_edge_confidence_build(self, birds, zoo):
+        calls = {}
+        for mode in (EDGE_CONFIDENCE, BASELINE_SF):
+            with mock.patch.object(lexical, "levenshtein_matrix",
+                                   wraps=lexical.levenshtein_matrix) as kernel:
+                build_upmc(birds, zoo, SimilarityConfig(), mode)
+            calls[mode] = kernel.call_count
+        assert calls == {EDGE_CONFIDENCE: 1, BASELINE_SF: 0}

@@ -402,3 +402,38 @@ class TestMalformedInputs:
         assert code == 2
         assert out == ""
         assert str(tmp_path) in err
+
+    @pytest.mark.parametrize("bad", ["directory", "missing-parent"])
+    @pytest.mark.parametrize("command", ["align", "compare", "dump-chain", "bench-gen"])
+    def test_unusable_output_exits_2_before_any_input_is_read(
+            self, capsys, tmp_path, command, bad):
+        missing = str(tmp_path / "missing.json")
+        output = str(tmp_path if bad == "directory" else tmp_path / "nowhere" / "out.txt")
+        argv = {
+            "align": ["align", missing, missing, "-o", output],
+            "compare": ["compare", missing, missing, missing, "-o", output],
+            "dump-chain": ["dump-chain", missing, missing, "-o", output],
+            # the mutant's path is fine; only the reference's is not
+            "bench-gen": ["bench-gen", ZOO, "--mutation", "label-edit",
+                          "--out-ontology", str(tmp_path / "mutant.json"),
+                          "--out-reference", output],
+        }[command]
+        before = sorted(tmp_path.rglob("*"))
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert output in err
+        assert "missing.json" not in err
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("ids", ['null, "target": 5', '"A", "target": ["D"]'])
+    def test_alignment_with_non_string_ids_exits_2(self, capsys, tmp_path, ids):
+        alignment = tmp_path / "alignment.json"
+        alignment.write_text('{"correspondences": [{"source": %s, "confidence": 1}]}' % ids,
+                             encoding="utf-8")
+        ref = tmp_path / "ref.tsv"
+        ref.write_text("None\t5\n", encoding="utf-8")
+        code, out, err = run(capsys, "eval", str(alignment), str(ref))
+        assert code == 2
+        assert out == ""
+        assert "alignment.json: correspondence #0" in err

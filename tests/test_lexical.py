@@ -1,6 +1,8 @@
 import itertools
 import random
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -114,6 +116,22 @@ class TestLevenshteinMatrix:
         rows_per_block = lexical._BLOCK_CELLS // (len(b) * (max(map(len, b)) + 1))
         assert len(a) > 2 * rows_per_block
         assert levenshtein_matrix(a, b).tolist() == oracle_matrix(a, b)
+
+    # NUL equals the kernel's padding value; a lone surrogate is a code point
+    # of its own
+    kernel_labels = st.lists(st.text(alphabet="ab_é字ß\x00\ud800\U0010ffff", max_size=70),
+                             max_size=6)
+
+    @settings(max_examples=60, deadline=None)
+    @given(kernel_labels, kernel_labels, st.integers(1, 1 << 9))
+    @example(["a" * 70, "", "字b" * 35], ["ab" * 35, "b" * 69, "\x00"], 1 << 9)
+    def test_matches_scalar_levenshtein(self, a, b, block_cells):
+        # a small block forces one to several rows per block; the label
+        # lengths set the number of steps and of insertion columns
+        with mock.patch.object(lexical, "_BLOCK_CELLS", block_cells):
+            got = levenshtein_matrix(a, b)
+        assert got.dtype == np.int32
+        assert got.tolist() == [[levenshtein(x, y) for y in b] for x in a]
 
 
 class TestEditSimilarity:
