@@ -5,14 +5,15 @@ ontology 1's sorted term ids, columns ontology 2's) and rescaled so the
 best pair scores 1.0. Maximum-weight bipartite matching then selects one
 partner per term.
 
-The assignment solver is a shortest-augmenting-path implementation run
-on one exact Python int cost per cell. Scores are floats, hence dyadic
-rationals, so scaling them by their largest denominator makes them exact
-integers. Each cell's cost adds an integer tie-break key below the
-weight's scale, chosen so that, among all maximum-weight assignments, the
-one whose (row, col) list is lexicographically smallest has the least
-cost. That makes golden outputs stable even for score matrices full of
-ties, which float LAP solvers do not guarantee.
+The assignment is exact over the float scores, read as dyadic rationals.
+scipy's float solver ``linear_sum_assignment`` proposes one; Bellman-Ford
+rounds over the scores as exact integers then either prove it optimal
+with integer dual potentials or find the positive cycle that improves it.
+By complementary slackness the maximum-weight assignments are exactly the
+perfect matchings of those potentials' tight edges, and the one returned
+is the lexicographically smallest (row, col) list among them. That makes
+golden outputs stable even for score matrices full of ties, which float
+assignment solvers do not guarantee.
 """
 from __future__ import annotations
 
@@ -70,6 +71,12 @@ def to_matrix(dist: np.ndarray, rows: Sequence[str], cols: Sequence[str]) -> Sco
     dist = np.asarray(dist, dtype=float)
     if dist.shape != (len(rows) * len(cols),):
         raise ValueError("distribution length must match the state count")
+    bad = np.flatnonzero(~(dist >= 0.0) | np.isinf(dist))  # NaN fails >= too
+    if bad.size:
+        raise ValueError(
+            f"distribution entries must be finite and non-negative; state {bad[0]} "
+            f"is {float(dist[bad[0]])!r} ({bad.size} of {dist.size} entries fail)"
+        )
     values = dist.reshape(len(rows), len(cols))
     peak = values.max()
     if peak <= 0.0:
@@ -77,53 +84,136 @@ def to_matrix(dist: np.ndarray, rows: Sequence[str], cols: Sequence[str]) -> Sco
     return ScoreMatrix(rows=tuple(rows), cols=tuple(cols), values=values / peak)
 
 
-def _min_cost_assignment(cost: list[list[int]]) -> list[int]:
-    """Square min-cost assignment over Python int costs.
+def _positive_cycle(pred: list[int], starts: list[int]) -> list[int] | None:
+    """A cycle of the predecessor graph reachable back from ``starts``, or None.
 
-    Shortest augmenting paths with dual potentials; all arithmetic is
-    exact. Returns ``match`` with ``match[col] = row``, both 1-based.
+    ``pred[i]`` is the row whose relaxation last raised row i's potential
+    (-1 if none did). Predecessors change only on strict improvement, so
+    every cycle among them has positive length.
     """
-    n = len(cost)
-    u = [0] * (n + 1)
-    v = [0] * (n + 1)
-    p = [0] * (n + 1)  # 1-based: p[j] = row matched to column j, 0 = free
-    way = [0] * (n + 1)
-    for i in range(1, n + 1):
-        p[0] = i
-        j0 = 0
-        minv: list[int | None] = [None] * (n + 1)
-        used = [False] * (n + 1)
+    walk = [-1] * len(pred)
+    for start in starts:
+        x = start
+        while x >= 0 and walk[x] < 0:
+            walk[x] = start
+            x = pred[x]
+        if x >= 0 and walk[x] == start:
+            cycle = [x]
+            y = pred[x]
+            while y != x:
+                cycle.append(y)
+                y = pred[y]
+            return cycle
+    return None
+
+
+def _floor_scaled(x: float, shift: int) -> int:
+    """floor(x * 2^shift), exactly."""
+    num, den = x.as_integer_ratio()
+    shift -= den.bit_length() - 1
+    return num << shift if shift >= 0 else num >> -shift
+
+
+def _float_potentials(scaled: np.ndarray, match: np.ndarray) -> np.ndarray:
+    """Approximate row potentials of ``match`` in float arithmetic.
+
+    Bellman-Ford rounds from zero towards u[i] >= u[k] + gain[i, k], where
+    ``gain[i, k]`` is what row i gains by taking row k's column. They only
+    seed the exact rounds, so float rounding may stop them early.
+    """
+    rows = np.arange(len(match))
+    gain = scaled[:, match] - scaled[rows, match]
+    u = np.zeros(len(match))
+    tol = 2.0 ** -40  # entries lie in [0, 1]
+    for _ in range(len(match)):
+        best = (gain + u).max(axis=1)
+        if not (best > u + tol).any():
+            break
+        u = np.maximum(u, best)
+    return u
+
+
+def _exact_duals(weight: np.ndarray, match: np.ndarray, pot: np.ndarray) -> np.ndarray:
+    """Make ``match`` exactly optimal and return its tight edges.
+
+    ``weight`` holds the exact int scores (object dtype) and ``pot``
+    integer seed potentials; ``match`` and ``pot`` change in place.
+    Bellman-Ford rounds raise ``pot`` until
+    u[i] >= u[k] + weight[i, match[k]] - weight[k, match[k]] holds for
+    every pair of rows. A round only revisits the rows whose potential rose
+    in the round before. A positive cycle among the predecessors means the
+    candidate can gain weight: each row on it takes its predecessor's
+    column, and the rounds go on. Once no potential rises, ``match`` is a
+    maximum-weight assignment (its potentials prove it) and the returned
+    ``tight[i, k]`` says whether row i taking ``match[k]`` keeps the
+    potentials tight.
+    """
+    rows = np.arange(len(match))
+    while True:
+        wmatch = weight[:, match]
+        offset = pot - wmatch[rows, rows]
+        reach = wmatch + offset  # reach[i, k] = u[k] + weight[i, match[k]] - weight[k, match[k]]
+        pred = np.full(len(match), -1)
+        frontier = rows
         while True:
-            used[j0] = True
-            i0 = p[j0]
-            delta = None
-            j1 = 0
-            row_cost = cost[i0 - 1]
-            ui = u[i0]
-            for j in range(1, n + 1):
-                if used[j]:
-                    continue
-                cur = row_cost[j - 1] - ui - v[j]
-                if minv[j] is None or cur < minv[j]:
-                    minv[j] = cur
-                    way[j] = j0
-                if delta is None or minv[j] < delta:
-                    delta = minv[j]
-                    j1 = j
-            for j in range(n + 1):
-                if used[j]:
-                    u[p[j]] += delta
-                    v[j] -= delta
-                elif minv[j] is not None:
-                    minv[j] -= delta
-            j0 = j1
-            if p[j0] == 0:
+            best = reach[:, frontier].max(axis=1)
+            up = np.flatnonzero(best > pot)
+            if up.size == 0:
+                return reach == pot[:, None]
+            pred[up] = frontier[reach[np.ix_(up, frontier)].argmax(axis=1)]
+            pot[up] = best[up]
+            offset[up] = pot[up] - wmatch[up, up]
+            reach[:, up] = wmatch[:, up] + offset[up]
+            frontier = up
+            cycle = _positive_cycle(pred.tolist(), up.tolist())
+            if cycle is not None:
+                match[cycle] = match[pred[cycle]]
                 break
-        while j0:
-            j1 = way[j0]
-            p[j0] = p[j1]
-            j0 = j1
-    return p
+
+
+def _lexicographic_matching(tight: np.ndarray, match: np.ndarray, m: int) -> None:
+    """Turn ``match`` into the lexicographically smallest perfect matching
+    of the tight subgraph, fixing rows 0..m-1 in turn (in place).
+
+    An edge lies on some perfect matching exactly when it is matched or
+    both rows share a strongly connected component of the graph with an
+    arc i -> k for each tight edge (i, match[k]); the rest are pruned.
+    Row i then takes the smallest allowed free column c whose current
+    owner reaches i along allowed arcs, found by one backward search, and
+    the rows on that alternating cycle each take their successor's column.
+    """
+    from scipy.sparse.csgraph import connected_components
+
+    size = len(match)
+    if np.count_nonzero(tight) == size:  # only the matched edges are tight
+        return
+    _, comp = connected_components(tight, directed=True, connection="strong")
+    allowed = np.empty_like(tight)
+    allowed[:, match] = tight & (comp[:, None] == comp[None, :])
+    owner = np.empty(size, dtype=int)
+    owner[match] = np.arange(size)
+    free = np.ones(size, dtype=bool)
+    # a row with one allowed column keeps it, and no other row may take it
+    for i in np.flatnonzero(np.count_nonzero(allowed[:m], axis=1) > 1):
+        options = allowed[i] & free
+        if options.argmax() != match[i]:
+            cols = np.flatnonzero(options)
+            reached = np.zeros(size, dtype=bool)
+            reached[i] = True
+            succ = np.full(size, -1)
+            frontier = np.array([i])
+            while frontier.size and not reached[owner[cols[0]]]:
+                hits = allowed[i:, match[frontier]]
+                new = np.flatnonzero(hits.any(axis=1) & ~reached[i:])
+                succ[new + i] = frontier[hits[new].argmax(axis=1)]
+                reached[new + i] = True
+                frontier = new + i
+            cycle = [owner[cols[reached[owner[cols]]][0]]]
+            while cycle[-1] != i:
+                cycle.append(succ[cycle[-1]])
+            match[cycle] = match[cycle[1:] + cycle[:1]]
+            owner[match[cycle]] = cycle
+        free[match[i]] = False
 
 
 def hungarian_max(mat) -> list[tuple[int, int]]:
@@ -131,9 +221,13 @@ def hungarian_max(mat) -> list[tuple[int, int]]:
 
     Accepts a ``ScoreMatrix`` or any finite, non-negative 2-D array.
     Rectangular inputs are padded with zero-weight dummies internally;
-    dummy pairs never appear in the output. Ties between optimal
-    assignments resolve to the lexicographically smallest (row, col) list.
+    dummy pairs never appear in the output. The weight is maximal over
+    the exact scores, and ties between optimal assignments resolve to the
+    lexicographically smallest (row, col) list.
     """
+    # imported here: scipy.optimize adds 0.2-0.4 s to `import chainalign`
+    from scipy.optimize import linear_sum_assignment
+
     if isinstance(mat, ScoreMatrix):
         mat = mat.values
     arr = np.asarray(mat, dtype=float)
@@ -145,33 +239,26 @@ def hungarian_max(mat) -> list[tuple[int, int]]:
         raise ValueError("matrix entries must be non-negative")
     m, n = arr.shape
     size = max(m, n)
-    base = n + 1
 
-    # Every float is a dyadic rational num / 2^k, so over the largest
-    # denominator each score becomes an exact integer.
-    ratios = [x.as_integer_ratio() for x in arr.ravel().tolist()]
-    denom = max(d for _, d in ratios)
-    scaled = [num * (denom // d) for num, d in ratios]
-    # The tie key (n - j) * base^(m-1-i) rewards small columns in early
-    # rows strongly enough to dominate every later row's choice. An
-    # assignment's keys total less than base^m < big, so weight * big
-    # decides first and the key only separates equal weights.
-    big = 2 * base ** m
-    cost = [[0] * size for _ in range(size)]
-    for i in range(m):
-        place = base ** (m - 1 - i)
-        row = cost[i]
-        for j in range(n):
-            row[j] = -scaled[i * n + j] * big - (n - j) * place
+    # Each distinct score is mant * 2^expo with mant * 2^53 an integer, so
+    # in units of 2^(emin - 53) every score is an exact integer.
+    values, inverse = np.unique(arr, return_inverse=True)
+    mant, expo = np.frexp(values)
+    emin, emax = int(expo.min()), int(expo.max())
+    exact = np.ldexp(mant, 53).astype(np.int64).astype(object) << (expo - emin).astype(object)
+    index = np.full((size, size), len(values))  # padding points at a trailing 0
+    index[:m, :n] = inverse.reshape(m, n)
+    weight = np.append(exact, 0)[index]
 
-    match = _min_cost_assignment(cost)
-    pairs = [
-        (match[j] - 1, j - 1)
-        for j in range(1, size + 1)
-        if match[j] - 1 < m and j - 1 < n
-    ]
-    pairs.sort()
-    return pairs
+    scaled = np.zeros((size, size))
+    scaled[:m, :n] = np.ldexp(arr, -emax)  # into [0, 1); the tiniest may round
+    _, match = linear_sum_assignment(scaled, maximize=True)
+    pot = np.array([_floor_scaled(u, emax - emin + 53)
+                    for u in _float_potentials(scaled, match).tolist()], dtype=object)
+
+    tight = _exact_duals(weight, match, pot)
+    _lexicographic_matching(tight, match, m)
+    return [(i, int(match[i])) for i in range(m) if match[i] < n]
 
 
 def refine(

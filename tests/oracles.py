@@ -2,7 +2,8 @@
 
 These deliberately take the slow, literal route: the edit distance is the
 plain recurrence (optionally memoized so longer strings stay tractable),
-the assignment oracle enumerates every injective row-to-column map, the
+one assignment oracle enumerates every injective row-to-column map and
+another runs shortest augmenting paths on one exact int cost per cell, the
 pair chain is scored one adjacency pair and one term pair at a time,
 closed classes come from plain reachability sets and the stationary
 distribution from a dense solve. Nothing here shares code with the
@@ -87,6 +88,89 @@ def brute_force_assignment(matrix) -> tuple[list[tuple[int, int]], Fraction]:
                 best_total = total
                 best_pairs = pairs
     return best_pairs, best_total
+
+
+def _min_cost_assignment(cost: list[list[int]]) -> list[int]:
+    """Square min-cost assignment over Python int costs.
+
+    Shortest augmenting paths with dual potentials; all arithmetic is
+    exact. Returns ``match`` with ``match[col] = row``, both 1-based.
+    """
+    n = len(cost)
+    u = [0] * (n + 1)
+    v = [0] * (n + 1)
+    p = [0] * (n + 1)  # 1-based: p[j] = row matched to column j, 0 = free
+    way = [0] * (n + 1)
+    for i in range(1, n + 1):
+        p[0] = i
+        j0 = 0
+        minv: list[int | None] = [None] * (n + 1)
+        used = [False] * (n + 1)
+        while True:
+            used[j0] = True
+            i0 = p[j0]
+            delta = None
+            j1 = 0
+            row_cost = cost[i0 - 1]
+            ui = u[i0]
+            for j in range(1, n + 1):
+                if used[j]:
+                    continue
+                cur = row_cost[j - 1] - ui - v[j]
+                if minv[j] is None or cur < minv[j]:
+                    minv[j] = cur
+                    way[j] = j0
+                if delta is None or minv[j] < delta:
+                    delta = minv[j]
+                    j1 = j
+            for j in range(n + 1):
+                if used[j]:
+                    u[p[j]] += delta
+                    v[j] -= delta
+                elif minv[j] is not None:
+                    minv[j] -= delta
+            j0 = j1
+            if p[j0] == 0:
+                break
+        while j0:
+            j1 = way[j0]
+            p[j0] = p[j1]
+            j0 = j1
+    return p
+
+
+def lexicographic_assignment(matrix) -> list[tuple[int, int]]:
+    """Exact maximum-weight assignment of min(m, n) pairs, with equal-weight
+    optima resolved to the lexicographically smallest (row, col) list.
+
+    One Python int cost per cell of the zero-padded square: each score
+    over the matrix's largest denominator, times a scale, plus a tie key
+    below that scale. O(size^3) in pure Python, so usable up to a few
+    hundred rows.
+    """
+    rows = [[float(v) for v in row] for row in matrix]
+    m, n = len(rows), len(rows[0])
+    size = max(m, n)
+    base = n + 1
+    # Every float is a dyadic rational num / 2^k, so over the largest
+    # denominator each score becomes an exact integer.
+    ratios = [x.as_integer_ratio() for row in rows for x in row]
+    denom = max(d for _, d in ratios)
+    scaled = [num * (denom // d) for num, d in ratios]
+    # The tie key (n - j) * base^(m-1-i) rewards small columns in early
+    # rows strongly enough to dominate every later row's choice. An
+    # assignment's keys total less than base^m < big, so weight * big
+    # decides first and the key only separates equal weights.
+    big = 2 * base ** m
+    cost = [[0] * size for _ in range(size)]
+    for i in range(m):
+        place = base ** (m - 1 - i)
+        for j in range(n):
+            cost[i][j] = -scaled[i * n + j] * big - (n - j) * place
+    match = _min_cost_assignment(cost)
+    return sorted(
+        (match[j] - 1, j - 1) for j in range(1, size + 1) if match[j] - 1 < m and j - 1 < n
+    )
 
 
 def greedy_row_assignment_total(matrix) -> float:

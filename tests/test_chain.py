@@ -369,6 +369,19 @@ class TestSteadyState:
         )
         assert out.stdout.strip() == "False"
 
+    def test_import_leaves_assignment_modules_unloaded(self):
+        # hungarian_max imports scipy.optimize and scipy.sparse.csgraph
+        # itself: scipy.optimize alone adds 0.2-0.4 s to start-up
+        src = str(Path(chainalign.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; sys.path.insert(0, sys.argv[1]); import chainalign; "
+             "print([m for m in ('scipy.optimize', 'scipy.sparse.csgraph') if m in sys.modules])",
+             src],
+            capture_output=True, text=True, check=True, timeout=60,
+        )
+        assert out.stdout.strip() == "[]"
+
     def test_entries_are_non_negative_probabilities(self):
         rng = random.Random(21)
         for _ in range(30):

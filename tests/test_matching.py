@@ -1,8 +1,13 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
+from chainalign import matching
 from chainalign.matching import (
     Alignment,
     Correspondence,
@@ -15,7 +20,22 @@ from chainalign.matching import (
     to_matrix,
 )
 
-from oracles import brute_force_assignment, greedy_row_assignment_total
+from oracles import brute_force_assignment, greedy_row_assignment_total, lexicographic_assignment
+
+
+@st.composite
+def tie_heavy_matrices(draw):
+    """m x n matrices, m and n in 1..8, over a few planted values: exact
+    ties, zeros, the smallest subnormal and each value's 1-ulp neighbours."""
+    m, n = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    planted = draw(st.lists(
+        st.sampled_from([0.0, 5e-324, 1e-300, 0.1, 0.7, 1.0]) | st.floats(0.0, 1.0),
+        min_size=1, max_size=4,
+    ))
+    pool = sorted({float(v) for p in planted
+                   for v in (p, np.nextafter(p, 0.0), np.nextafter(p, 2.0))})
+    cells = draw(st.lists(st.sampled_from(pool), min_size=m * n, max_size=m * n))
+    return np.array(cells).reshape(m, n)
 
 
 def ids_for(m, n):
@@ -49,6 +69,14 @@ class TestToMatrix:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="match the state count"):
             to_matrix(np.ones(3), *ids_for(2, 2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.25, -5e-324])
+    def test_non_finite_or_negative_distribution_rejected(self, bad):
+        dist = np.array([0.5, 0.25, bad, 0.25])
+        with np.errstate(all="raise"):  # no RuntimeWarning on the way to the error
+            with pytest.raises(ValueError, match=r"^distribution entries must be finite "
+                               r"and non-negative; state 2 is "):
+                to_matrix(dist, *ids_for(2, 2))
 
 
 class TestHungarianMax:
@@ -149,6 +177,34 @@ class TestHungarianMax:
             pairs = hungarian_max(np.array(mat))
             total = sum(mat[r][c] for r, c in pairs)
             assert total >= greedy_row_assignment_total(mat) - 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(tie_heavy_matrices())
+    def test_matches_the_exact_oracle(self, mat):
+        assert hungarian_max(mat) == lexicographic_assignment(mat.tolist())
+
+    def test_inexact_float_candidate_is_repaired(self, monkeypatch):
+        # 0.7000000000000001 (7 * 0.1) is one ulp above 0.7: the optimum
+        # (0, 2), (1, 0), (2, 1) beats (0, 0), (1, 2), (2, 1) by less than
+        # float sums resolve, and scipy's float solver returns the latter
+        mat = np.array([[0.5, 0.5, 0.2], [0.7000000000000001, 0.9, 0.4], [0.5, 0.8, 0.0]])
+        rows, cols = linear_sum_assignment(mat, maximize=True)
+        expected = lexicographic_assignment(mat.tolist())
+        assert expected == [(0, 2), (1, 0), (2, 1)]
+        exact = [[Fraction(v) for v in row] for row in mat.tolist()]
+        assert sum(exact[r][c] for r, c in zip(rows, cols)) < sum(
+            exact[r][c] for r, c in expected)
+        cycles = []
+
+        def spy(*args):
+            cycle = positive_cycle(*args)
+            cycles.append(cycle)
+            return cycle
+
+        positive_cycle = matching._positive_cycle
+        monkeypatch.setattr(matching, "_positive_cycle", spy)
+        assert hungarian_max(mat) == expected
+        assert any(c is not None for c in cycles)
 
     def test_accepts_score_matrix(self):
         mat = ScoreMatrix(rows=("a",), cols=("b",), values=np.array([[1.0]]))
