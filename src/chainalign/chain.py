@@ -16,7 +16,9 @@ compatible:
 
 Both weights come from ``lexical.label_set_weights``, once per pair of
 label sets; ``build_upmc`` spreads them over the adjacency entries that
-carry those sets by sparse indexing.
+carry those sets by sparse indexing. An edge-confidence weight is 1.0
+exactly when the sets share a normalized label, so ``exact_matches``
+reads the baseline-sf chain off an edge-confidence one.
 
 Row normalization turns the raw weights into a row-stochastic matrix.
 Two readings of that step are implemented. Both treat the stored weight
@@ -36,16 +38,23 @@ either reading, because all their weights are 1: a row of k of them
 gives each entry (k-1) / (k(k-1)), computed from exact integers, which
 rounds to the same float as 1/k.
 
+The ergodic damping transform P' = aP + (1-a)I removes periodicity (it
+preserves the stationary distribution of irreducible chains) and should
+be applied before either solver. ``normalize`` applies it in the same
+pass that rescales the rows: it writes the final CSR once, with a
+diagonal slot in every row that lacks one, and the same floats as
+scaling P by a and adding (1-a)I. ``ergodic_transform`` damps an
+already stochastic chain through the same code.
+
 The stationary distribution comes from either power iteration from the
 lexical initial distribution, or a direct sparse LU solve of
-pi (P - I) = 0 with one equation replaced by sum(pi) = 1. The direct
-solve requires a unique stationary distribution, which holds exactly
-when the pair graph has one closed class; it counts the closed classes
-first and raises ``SolverError`` on more than one (power iteration
-still answers such chains). The ergodic
-damping transform P' = aP + (1-a)I removes periodicity (it preserves the
-stationary distribution of irreducible chains) and should be applied
-before either solver.
+pi (P - I) = 0 with one equation replaced by sum(pi) = 1. Power
+iteration multiplies by the transposed matrix, built once per solve.
+The direct solve assembles its system straight from P's arrays. It
+requires a unique stationary distribution, which holds exactly when the
+pair graph has one closed class; it counts the closed classes first and
+raises ``SolverError`` on more than one (power iteration still answers
+such chains).
 """
 from __future__ import annotations
 
@@ -219,46 +228,122 @@ def build_upmc(
     return PairwiseChain(matrix)
 
 
-def _row_sums(matrix: sparse.csr_matrix, values: np.ndarray) -> np.ndarray:
-    """Per-row sums of ``values`` laid out like ``matrix.data``.
+def exact_matches(chain: PairwiseChain) -> PairwiseChain:
+    """The baseline-sf chain read off an unnormalized edge-confidence chain.
 
-    csr_matvec adds each row's entries left to right from 0.0, as ``sum()``
-    does, so the sums are the same floats a per-row Python loop gives.
+    ``label_set_weights`` gives a pair of label sets the edge-confidence
+    weight 1.0 exactly when their least distance d is 0: sigma is 1 only
+    at d = 0, and 1 reaches every gamma in [0, 1]. That is similarity
+    flooding's rule, so the entries equal to 1.0 are the chain that
+    ``build_upmc(..., BASELINE_SF)`` builds from the same settings, array
+    for array.
     """
-    laid_out = sparse.csr_matrix((values, matrix.indices, matrix.indptr), shape=matrix.shape)
-    return laid_out @ np.ones(matrix.shape[1])
+    if chain.stochastic:
+        raise ValueError("exact_matches requires an unnormalized chain")
+    m = chain.matrix.copy()
+    m.data[m.data != 1.0] = 0.0
+    m.eliminate_zeros()
+    return PairwiseChain(m)
 
 
-def normalize(chain: PairwiseChain, norm_mode: str = NORM_COMPLEMENT) -> PairwiseChain:
-    """Rescale every row of an unnormalized chain to sum to 1."""
+def normalize(chain: PairwiseChain, norm_mode: str = NORM_COMPLEMENT,
+              a: float = 1.0) -> PairwiseChain:
+    """Rescale every row of an unnormalized chain to sum to 1, and damp it.
+
+    Damping (P' = aP + (1-a)I, see ``ergodic_transform``) happens in the
+    same pass, on the same CSR; ``a`` = 1 leaves the chain undamped.
+    """
     if chain.stochastic:
         raise ValueError("chain is already stochastic")
     if norm_mode not in NORM_MODES:
         raise ValueError(f"norm_mode must be one of {NORM_MODES}, got {norm_mode!r}")
-
+    _check_damping(a)
+    m = chain.matrix
     # empty rows become self-loops, which the single-entry rule sends to 1.0
-    empty = np.diff(chain.matrix.indptr) == 0
-    m = chain.matrix + sparse.diags(empty.astype(float), format="csr")
+    damped = _damped(m, _shares(m, norm_mode), a, self_loops=np.diff(m.indptr) == 0)
+    return PairwiseChain(damped, stochastic=True)
+
+
+def _shares(m: sparse.csr_matrix, norm_mode: str) -> np.ndarray:
+    """Each stored weight's transition probability within its row."""
+    n = m.shape[0]
     counts = np.diff(m.indptr)
+    rows = np.repeat(np.arange(n), counts)
     d = m.data if norm_mode == NORM_COMPLEMENT else 1.0 / m.data
-    temp = np.repeat(_row_sums(m, d), counts) - d
-    temp[np.repeat(counts, counts) == 1] = 1.0
-    m.data = temp / np.repeat(_row_sums(m, temp), counts)
-    # extreme weight ratios can cancel a share to exactly 0.0; zero weights
-    # are never stored
-    m.eliminate_zeros()
-    return PairwiseChain(m, stochastic=True)
+    # bincount adds each row's values left to right from 0.0, as sum() does,
+    # so the row sums are the floats a per-row Python loop gives
+    temp = np.bincount(rows, d, n)[rows] - d
+    temp[counts[rows] == 1] = 1.0
+    return temp / np.bincount(rows, temp, n)[rows]
+
+
+def _check_damping(a: float) -> None:
+    if not 0.0 < a <= 1.0:
+        raise ValueError(f"a must lie in (0, 1], got {a}")
+
+
+def _with_diagonal(matrix: sparse.csr_matrix, values: np.ndarray, need: np.ndarray,
+                   fill: np.ndarray, shift: float):
+    """CSR arrays (values, indices, indptr) of ``matrix``'s pattern carrying
+    ``values``, plus a diagonal entry carrying ``fill[i]`` in every row i
+    of ``need`` that stores none; then ``shift`` is added to every diagonal
+    entry. Columns stay sorted within each row."""
+    n = matrix.shape[0]
+    indptr, indices = matrix.indptr, matrix.indices
+    rows = np.repeat(np.arange(n, dtype=indices.dtype), np.diff(indptr))
+    on_diagonal = indices == rows
+    add = need.copy()
+    add[rows[on_diagonal]] = False
+    # an entry moves up by the diagonals added in earlier rows, and by one
+    # more when its row's new diagonal goes before it
+    at = np.cumsum(add) - add
+    at = at[rows] + (add[rows] & (indices > rows))
+    at += np.arange(len(indices))
+    size = len(indices) + int(np.count_nonzero(add))
+    new_indices = np.empty(size, dtype=indices.dtype)
+    new_values = np.empty(size)
+    new_indices[at] = indices
+    new_values[at] = values
+    new_values[at[on_diagonal]] += shift
+    free = np.ones(size, dtype=bool)
+    free[at] = False
+    slots = np.flatnonzero(free)  # in row order, one per added diagonal
+    added = np.flatnonzero(add)
+    new_indices[slots] = added
+    new_values[slots] = fill[added] + shift
+    new_indptr = indptr + np.concatenate(([0], np.cumsum(add)))
+    return new_values, new_indices, new_indptr
+
+
+def _damped(matrix: sparse.csr_matrix, p: np.ndarray, a: float,
+            self_loops: np.ndarray) -> sparse.csr_matrix:
+    """The stochastic matrix aP + (1-a)I, built as one CSR.
+
+    P has ``matrix``'s pattern carrying ``p``, plus a self-loop of weight 1
+    on every row of ``self_loops``. Every row gets a diagonal slot when
+    a < 1. Entries are a*p, and a*p + (1-a) on the diagonal: the floats of
+    scaling P by a and adding (1-a)I. Entries equal to 0.0 are dropped.
+    """
+    n = matrix.shape[0]
+    loops = self_loops.astype(float)
+    if a < 1.0:
+        args = (a * p, np.ones(n, dtype=bool), a * loops, 1.0 - a)
+    else:
+        args = (p, self_loops, loops, 0.0)
+    damped = sparse.csr_matrix(_with_diagonal(matrix, *args), shape=(n, n))
+    damped.eliminate_zeros()
+    return damped
 
 
 def ergodic_transform(chain: PairwiseChain, a: float) -> PairwiseChain:
     """Damp the chain: P' = aP + (1-a)I. ``a`` = 1 returns the chain as is."""
     if not chain.stochastic:
         raise ValueError("ergodic transform requires a stochastic chain")
-    if not 0.0 < a <= 1.0:
-        raise ValueError(f"a must lie in (0, 1], got {a}")
+    _check_damping(a)
     if a == 1.0:
         return chain
-    damped = a * chain.matrix + sparse.diags(np.full(len(chain), 1.0 - a), format="csr")
+    m = chain.matrix
+    damped = _damped(m, m.data, a, self_loops=np.zeros(len(chain), dtype=bool))
     return PairwiseChain(damped, stochastic=True)
 
 
@@ -289,11 +374,14 @@ def iterate(chain: PairwiseChain, pi0: np.ndarray, cfg: SolverConfig | None = No
     if pi.min() < 0 or pi.sum() <= 0:
         raise ValueError("pi0 must be a non-negative vector with positive mass")
     pi = pi / pi.sum()
-    matrix = chain.matrix
+    # pi P as P^T pi, on a transpose built once: pi @ P transposes P on
+    # every step. Both add each column's terms in row order, so the floats
+    # are the same.
+    transposed = chain.matrix.T.tocsr()
     iterations = 0
     converged = False
     for iterations in range(1, cfg.max_iters + 1):
-        nxt = pi @ matrix
+        nxt = transposed @ pi
         delta = np.max(np.abs(nxt - pi))
         pi = nxt
         if delta <= cfg.epsilon:
@@ -337,12 +425,10 @@ def steady_state(chain: PairwiseChain, cfg: SolverConfig | None = None) -> Solve
             f"closed classes ({closed} found), so its stationary distribution is "
             f"not unique; {_REMEDY}"
         )
-    system = (m.T - sparse.identity(n, format="csr")).tocsr()[:-1]
-    system = sparse.vstack([system, sparse.csr_matrix(np.ones((1, n)))], format="csc")
     rhs = np.zeros(n)
     rhs[n - 1] = 1.0
     try:
-        pi = splu(system).solve(rhs)
+        pi = splu(_bordered_system(m)).solve(rhs)
     except RuntimeError as exc:  # a weight too small to register against 1
         raise SolverError(f"stationary system is numerically singular ({exc}); {_REMEDY}") from exc
     lowest = pi.min()
@@ -354,6 +440,31 @@ def steady_state(chain: PairwiseChain, cfg: SolverConfig | None = None) -> Solve
     pi = np.clip(pi, 0.0, None)
     pi = pi / pi.sum()
     return SolveResult(distribution=pi, iterations=0, converged=True)
+
+
+def _bordered_system(m: sparse.csr_matrix) -> sparse.csc_matrix:
+    """P^T - I with its last row replaced by ones, as CSC.
+
+    Column c of P^T - I is row c of P less 1 on the diagonal, so the CSC
+    arrays are P's CSR arrays with a diagonal slot in every row, 1
+    subtracted there, entries that reach 0.0 and those in row n - 1
+    dropped, and a 1 appended to every column.
+    """
+    n = m.shape[0]
+    values, indices, indptr = _with_diagonal(m, m.data, np.ones(n, dtype=bool), np.zeros(n), -1.0)
+    keep = np.flatnonzero((values != 0.0) & (indices != n - 1))
+    cols = np.repeat(np.arange(n), np.diff(indptr))[keep]
+    # column c's kept entries move up by c, and its 1 follows them
+    ones = np.cumsum(np.bincount(cols, minlength=n)) + np.arange(n)
+    at = np.arange(len(keep)) + cols
+    system_indices = np.empty(len(keep) + n, dtype=indices.dtype)
+    system_values = np.empty(len(keep) + n)
+    system_indices[at] = indices[keep]
+    system_values[at] = values[keep]
+    system_indices[ones] = n - 1
+    system_values[ones] = 1.0
+    indptr = np.concatenate(([0], ones + 1))
+    return sparse.csc_matrix((system_values, system_indices, indptr), shape=(n, n))
 
 
 def dump_triplets(chain: PairwiseChain) -> str:

@@ -19,7 +19,7 @@ from .chain import BASELINE_SF, EDGE_CONFIDENCE, SolverConfig
 from .lexical import SimilarityConfig
 from .matching import load_alignment
 from .ontology import LabeledEdge, OntologyGraph, Term
-from .pipeline import align
+from .pipeline import align, build_shared
 
 MUTATIONS = ("label-edit", "label-scramble", "edge-drop", "label-case")
 
@@ -111,6 +111,15 @@ def compare(
 
     Solver settings are shared across modes apart from ``chain_mode``
     itself, so the rows differ only in how the pair graph was built.
+
+    The two modes also share their inputs, built once per call
+    (``pipeline.build_shared``): the unnormalized edge-confidence chain and,
+    for the iterative method, the lexical initial distribution. The
+    baseline-sf chain is read off the edge-confidence one: an entry's
+    weight is 1.0 exactly when its label sets share a normalized label,
+    which is similarity flooding's rule, for every gamma. So each mode
+    solves the same chain that a standalone ``align`` in that mode builds,
+    and only the lexical scoring is not repeated.
     """
     sim_cfg = sim_cfg or SimilarityConfig()
     solver_cfg = solver_cfg or SolverConfig()
@@ -123,10 +132,11 @@ def compare(
         raise ValueError(
             f"reference names terms absent from the ontologies: {sorted(stray)[:5]}"
         )
+    shared = build_shared(g1, g2, sim_cfg, solver_cfg)
     rows = []
     for mode in (BASELINE_SF, EDGE_CONFIDENCE):
         cfg = replace(solver_cfg, chain_mode=mode)
-        alignment, result = align(g1, g2, sim_cfg, cfg, min_confidence)
+        alignment, result = align(g1, g2, sim_cfg, cfg, min_confidence, shared=shared)
         report = evaluate(alignment.pairs(), reference.pairs)
         rows.append(
             CompareRow(

@@ -1,13 +1,20 @@
 """End-to-end alignment: ontologies in, one-to-one correspondences out."""
 from __future__ import annotations
 
+from dataclasses import dataclass
+
+import numpy as np
+
 from .chain import (
+    BASELINE_SF,
+    EDGE_CONFIDENCE,
     METHOD_ITERATIVE,
     PairwiseChain,
     SolveResult,
     SolverConfig,
     build_upmc,
-    ergodic_transform,
+    ergodic_transform,  # noqa: F401  bound here for the benchmark's tracer
+    exact_matches,
     initial_distribution,
     iterate,
     normalize,
@@ -18,19 +25,52 @@ from .matching import Alignment, refine
 from .ontology import OntologyGraph
 
 
+@dataclass(frozen=True)
+class SharedBuild:
+    """What both chain modes of one ontology pair share under one set of
+    similarity settings: the unnormalized edge-confidence chain, which the
+    baseline-sf chain is read off (``exact_matches``), and the lexical
+    initial distribution, or None when the solver does not start from one."""
+
+    edge_confidence: PairwiseChain
+    pi0: np.ndarray | None
+
+
+def build_shared(
+    g1: OntologyGraph,
+    g2: OntologyGraph,
+    sim_cfg: SimilarityConfig,
+    solver_cfg: SolverConfig,
+) -> SharedBuild:
+    """Build the raw edge-confidence chain, and pi0 when the method is iterative."""
+    chain = build_upmc(g1, g2, sim_cfg, EDGE_CONFIDENCE)
+    pi0 = None
+    if solver_cfg.method == METHOD_ITERATIVE:
+        pi0 = initial_distribution(chain, g1, g2, sim_cfg)
+    return SharedBuild(chain, pi0)
+
+
 def build_chain(
     g1: OntologyGraph,
     g2: OntologyGraph,
     sim_cfg: SimilarityConfig,
     solver_cfg: SolverConfig,
     damped: bool = True,
+    *,
+    shared: SharedBuild | None = None,
 ) -> PairwiseChain:
-    """Construct, normalize and (optionally) damp the pairwise chain."""
-    chain = build_upmc(g1, g2, sim_cfg, solver_cfg.chain_mode)
-    chain = normalize(chain, solver_cfg.norm_mode)
-    if damped:
-        chain = ergodic_transform(chain, solver_cfg.damping_a)
-    return chain
+    """Construct, normalize and (optionally) damp the pairwise chain.
+
+    With ``shared`` (built from the same ontologies and ``sim_cfg``), the
+    raw chain is taken from it rather than built.
+    """
+    if shared is None:
+        chain = build_upmc(g1, g2, sim_cfg, solver_cfg.chain_mode)
+    elif solver_cfg.chain_mode == BASELINE_SF:
+        chain = exact_matches(shared.edge_confidence)
+    else:
+        chain = shared.edge_confidence
+    return normalize(chain, solver_cfg.norm_mode, solver_cfg.damping_a if damped else 1.0)
 
 
 def align(
@@ -39,18 +79,23 @@ def align(
     sim_cfg: SimilarityConfig | None = None,
     solver_cfg: SolverConfig | None = None,
     min_confidence: float = 0.0,
+    *,
+    shared: SharedBuild | None = None,
 ) -> tuple[Alignment, SolveResult]:
     """Run the full alignment pipeline with the given settings.
 
     The damping transform is always applied before solving (with the
     default a = 0.85) so that periodic pair graphs still converge; set
-    ``damping_a`` to 1 to skip it.
+    ``damping_a`` to 1 to skip it. ``shared`` (see ``build_shared``)
+    supplies the raw chain and pi0 instead of building them.
     """
     sim_cfg = sim_cfg or SimilarityConfig()
     solver_cfg = solver_cfg or SolverConfig()
-    chain = build_chain(g1, g2, sim_cfg, solver_cfg)
+    chain = build_chain(g1, g2, sim_cfg, solver_cfg, shared=shared)
     if solver_cfg.method == METHOD_ITERATIVE:
-        pi0 = initial_distribution(chain, g1, g2, sim_cfg)
+        pi0 = shared.pi0 if shared is not None else None
+        if pi0 is None:
+            pi0 = initial_distribution(chain, g1, g2, sim_cfg)
         result = iterate(chain, pi0, solver_cfg)
     else:
         result = steady_state(chain, solver_cfg)

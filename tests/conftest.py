@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 from scipy import sparse
 
 from chainalign.chain import PairwiseChain
@@ -100,3 +101,22 @@ def random_stochastic_chain(
         total = sum(weights)
         transitions.append([(c, w / total) for c, w in zip(cols, weights)])
     return chain_from_rows(transitions, stochastic=True)
+
+
+# labels within an edit or two of each other, folding variants of one
+# another, folding to "" ("_-") or expanding under casefold ("Straße")
+EDGE_LABELS = ["isA", "is_a", "IS-A", "isAn", "partOf", "part", "_-", "Straße", "STRASSE", "x"]
+TERM_LABELS = ["Bird", "bird", "Birds", "B-ird", "_-", "Straße", "strasse", "fish"]
+
+
+@st.composite
+def labeled_graphs(draw):
+    """Up to five terms; parallel edges may carry different labels, and a
+    graph may have no edges at all."""
+    ids = [f"t{i}" for i in range(draw(st.integers(1, 5)))]
+    terms = {t: Term(id=t, label=draw(st.sampled_from(TERM_LABELS))) for t in ids}
+    edges = draw(st.lists(
+        st.tuples(st.sampled_from(ids), st.sampled_from(ids), st.sampled_from(EDGE_LABELS)),
+        max_size=12,
+    ))
+    return OntologyGraph(terms=terms, edges=[LabeledEdge(s, d, l) for s, d, l in edges])

@@ -8,6 +8,12 @@ pair chain is scored one adjacency pair and one term pair at a time,
 closed classes come from plain reachability sets and the stationary
 distribution from a dense solve. Nothing here shares code with the
 package.
+
+The last three are the package's earlier scipy constructions, kept as
+array-for-array references for the ones that replaced them: normalization
+followed by damping as two sparse stages, the bordered steady-state system
+assembled by transpose, subtract, slice and stack, and power iteration as
+``pi @ P``.
 """
 from __future__ import annotations
 
@@ -16,6 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
+from scipy import sparse
 
 
 def levenshtein_recursive(a: str, b: str) -> int:
@@ -324,3 +331,47 @@ def lexical_start(g1, g2, fold: bool) -> np.ndarray:
     if total <= 0.0:
         return np.full(len(values), 1.0 / len(values))
     return values / total
+
+
+def normalize_then_damp(matrix, norm_mode: str, a: float) -> sparse.csr_matrix:
+    """Row-normalize a raw CSR chain, then damp it to aP + (1-a)I, as two
+    sparse stages: empty rows get a self-loop by adding a diagonal matrix,
+    shares that cancel to 0.0 are eliminated, and damping scales the
+    matrix and adds (1-a)I (skipped at a = 1)."""
+    empty = np.diff(matrix.indptr) == 0
+    m = matrix + sparse.diags(empty.astype(float), format="csr")
+    counts = np.diff(m.indptr)
+    ones = np.ones(m.shape[1])
+    d = m.data if norm_mode == "complement" else 1.0 / m.data
+    sums = sparse.csr_matrix((d, m.indices, m.indptr), shape=m.shape) @ ones
+    temp = np.repeat(sums, counts) - d
+    temp[np.repeat(counts, counts) == 1] = 1.0
+    totals = sparse.csr_matrix((temp, m.indices, m.indptr), shape=m.shape) @ ones
+    m.data = temp / np.repeat(totals, counts)
+    m.eliminate_zeros()
+    if a == 1.0:
+        return m
+    return a * m + sparse.diags(np.full(m.shape[0], 1.0 - a), format="csr")
+
+
+def bordered_system(matrix) -> sparse.csc_matrix:
+    """P^T - I with its last row replaced by ones, through transpose,
+    subtract, ``tocsr``, slice and ``vstack``."""
+    n = matrix.shape[0]
+    system = (matrix.T - sparse.identity(n, format="csr")).tocsr()[:-1]
+    return sparse.vstack([system, sparse.csr_matrix(np.ones((1, n)))], format="csc")
+
+
+def iterate_rmatmul(matrix, pi0, epsilon: float, max_iters: int):
+    """Power iteration as ``pi @ P`` from pi0 / sum(pi0), stopping once the
+    max-norm step is at most epsilon. Returns (pi, iterations, converged)."""
+    pi = pi0 / pi0.sum()
+    converged = False
+    for iterations in range(1, max_iters + 1):
+        nxt = pi @ matrix
+        delta = np.max(np.abs(nxt - pi))
+        pi = nxt
+        if delta <= epsilon:
+            converged = True
+            break
+    return pi / pi.sum(), iterations, converged

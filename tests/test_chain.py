@@ -1,3 +1,4 @@
+import itertools
 import random
 import subprocess
 import sys
@@ -17,8 +18,10 @@ from chainalign.chain import (
     PairwiseChain,
     SolverConfig,
     SolverError,
+    _bordered_system,
     build_upmc,
     ergodic_transform,
+    exact_matches,
     initial_distribution,
     iterate,
     normalize,
@@ -32,21 +35,28 @@ from chainalign.lexical import (
     levenshtein,
     normalize_label,
 )
-from chainalign.ontology import LabeledEdge, OntologyGraph, Term
+from chainalign.ontology import load_ontology
 
+from benchcases import make_perturbation_case
 from conftest import (
+    DATA_DIR,
+    FIXTURE_FILES,
     chain_from_rows,
     dense_chain,
+    labeled_graphs,
     make_graph,
     random_raw_chain,
     random_stochastic_chain,
     support,
 )
 from oracles import (
+    bordered_system,
     closed_class_count,
     damp_rows,
+    iterate_rmatmul,
     lexical_start,
     normalize_rows,
+    normalize_then_damp,
     pair_chain_arrays,
     stationary_dense,
 )
@@ -530,25 +540,6 @@ class TestNormalizationOracle:
             self.assert_matches_oracle(rows)
 
 
-# labels within an edit or two of each other, folding variants of one
-# another, folding to "" ("_-") or expanding under casefold ("Straße")
-EDGE_LABELS = ["isA", "is_a", "IS-A", "isAn", "partOf", "part", "_-", "Straße", "STRASSE", "x"]
-TERM_LABELS = ["Bird", "bird", "Birds", "B-ird", "_-", "Straße", "strasse", "fish"]
-
-
-@st.composite
-def labeled_graphs(draw):
-    """Up to five terms; parallel edges may carry different labels, and a
-    graph may have no edges at all."""
-    ids = [f"t{i}" for i in range(draw(st.integers(1, 5)))]
-    terms = {t: Term(id=t, label=draw(st.sampled_from(TERM_LABELS))) for t in ids}
-    edges = draw(st.lists(
-        st.tuples(st.sampled_from(ids), st.sampled_from(ids), st.sampled_from(EDGE_LABELS)),
-        max_size=12,
-    ))
-    return OntologyGraph(terms=terms, edges=[LabeledEdge(s, d, l) for s, d, l in edges])
-
-
 class TestPairwiseOracle:
     """build_upmc and initial_distribution score all label pairs at once; the
     oracle scores one adjacency pair and one term pair at a time."""
@@ -599,3 +590,155 @@ class TestPairwiseOracle:
                 build_upmc(birds, zoo, SimilarityConfig(), mode)
             calls[mode] = kernel.call_count
         assert calls == {EDGE_CONFIDENCE: 1, BASELINE_SF: 0}
+
+
+def csr_arrays(matrix):
+    """indptr, indices and data of a compressed matrix, as (dtype, bytes)."""
+    return [(a.dtype.str, a.tobytes()) for a in (matrix.indptr, matrix.indices, matrix.data)]
+
+
+@st.composite
+def raw_rows(draw):
+    """Rows of a raw chain as (column, weight) lists, in a drawn order: an
+    empty row, a single-entry row, a row that stores its diagonal entry, a
+    row of weights 5 and 1e-300 (one share cancels to exactly 0.0 under
+    either reading) and up to five rows of random entries."""
+    kinds = draw(st.permutations(
+        ["empty", "single", "diagonal", "cancel"] + ["random"] * draw(st.integers(0, 5))))
+    n = len(kinds)
+    column = st.integers(0, n - 1)
+    weight = st.one_of(st.sampled_from([1.0, 4 / 3, 2.0, 5.0, 1e-300]), st.floats(0.05, 5.0))
+    rows = []
+    for i, kind in enumerate(kinds):
+        if kind == "cancel":
+            cols = draw(st.lists(column, min_size=2, max_size=2, unique=True))
+            rows.append(sorted(zip(cols, draw(st.permutations([5.0, 1e-300])))))
+            continue
+        if kind == "empty":
+            cols = set()
+        elif kind == "single":
+            cols = {draw(column)}
+        elif kind == "diagonal":
+            cols = {i} | set(draw(st.lists(column, max_size=3)))
+        else:
+            cols = set(draw(st.lists(column, max_size=n)))
+        rows.append([(c, draw(weight)) for c in sorted(cols)])
+    return rows
+
+
+DAMPING = st.one_of(st.just(1.0), st.just(0.85),
+                    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+
+
+class TestFusedNormalize:
+    """normalize damps in the same pass; the two-stage oracle is the
+    package's earlier normalize followed by ergodic_transform."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(raw_rows(), DAMPING)
+    def test_matches_two_stage_oracle(self, rows, a):
+        raw = chain_from_rows(rows)
+        for norm_mode in ("complement", "formula"):
+            expected = csr_arrays(normalize_then_damp(raw.matrix, norm_mode, a))
+            assert csr_arrays(normalize(raw, norm_mode, a).matrix) == expected
+            # ergodic_transform damps through the same helper
+            damped = ergodic_transform(normalize(raw, norm_mode), a)
+            assert csr_arrays(damped.matrix) == expected
+
+    def test_generated_rows_cancel_a_share(self):
+        # the cancelling row of raw_rows loses an entry under both readings
+        raw = chain_from_rows([[(0, 5.0), (1, 1e-300)], []])
+        for norm_mode in ("complement", "formula"):
+            assert len(normalize(raw, norm_mode).transitions[0]) == 1
+
+    @pytest.mark.parametrize("a", [0.0, 1.5])
+    def test_damping_out_of_range_rejected(self, a):
+        with pytest.raises(ValueError, match="a must lie"):
+            normalize(dense_chain([[0, 1], [1, 0]], stochastic=False), "complement", a)
+
+    @pytest.mark.parametrize("left", FIXTURE_FILES)
+    @pytest.mark.parametrize("right", FIXTURE_FILES)
+    def test_fixture_pair_chains(self, left, right):
+        raw = build_upmc(load_ontology(DATA_DIR / left), load_ontology(DATA_DIR / right))
+        for a in (1.0, 0.85):
+            expected = normalize_then_damp(raw.matrix, "complement", a)
+            assert csr_arrays(normalize(raw, "complement", a).matrix) == csr_arrays(expected)
+
+
+class TestBorderedSystem:
+    """steady_state's system P^T - I, last row ones, against the earlier
+    transpose, subtract, slice and stack construction."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(raw_rows(), st.sampled_from(["complement", "formula"]), DAMPING)
+    def test_matches_stacked_construction(self, rows, norm_mode, a):
+        matrix = normalize(chain_from_rows(rows), norm_mode, a).matrix
+        assert csr_arrays(_bordered_system(matrix)) == csr_arrays(bordered_system(matrix))
+
+    def test_ring_chain(self):
+        # a ring with chords, as in the steady-state benchmark: every
+        # diagonal entry is inserted by damping, and the last column is stored
+        n = 30
+        rows = [sorted({(i + 1) % n: 1.0, (i * 7 + 3) % n: 2.0}.items()) for i in range(n)]
+        matrix = normalize(chain_from_rows(rows), "complement", 0.85).matrix
+        assert matrix[:, n - 1].nnz > 0
+        assert csr_arrays(_bordered_system(matrix)) == csr_arrays(bordered_system(matrix))
+
+
+class TestTransposedIterate:
+    """iterate multiplies by a once-built transpose; the oracle is the
+    earlier ``pi @ P`` loop."""
+
+    def assert_matches_loop(self, chain, pi0, cfg):
+        result = iterate(chain, pi0, cfg)
+        pi, iterations, converged = iterate_rmatmul(chain.matrix, pi0, cfg.epsilon, cfg.max_iters)
+        assert result.distribution.tobytes() == pi.tobytes()
+        assert (result.iterations, result.converged) == (iterations, converged)
+        return result
+
+    @settings(max_examples=100, deadline=None)
+    @given(raw_rows(), DAMPING, st.sampled_from([1e-3, 1e-9, 1e-15]), st.integers(1, 40),
+           st.data())
+    def test_matches_rmatmul_loop(self, rows, a, epsilon, max_iters, data):
+        chain = normalize(chain_from_rows(rows), "complement", a)
+        pi0 = np.array(data.draw(st.lists(st.floats(0.01, 1.0), min_size=len(rows),
+                                          max_size=len(rows))))
+        self.assert_matches_loop(chain, pi0, SolverConfig(epsilon=epsilon, max_iters=max_iters))
+
+    def test_run_stopped_at_max_iters(self):
+        chain = dense_chain([[0, 1], [1, 0]])
+        result = self.assert_matches_loop(chain, np.array([0.9, 0.1]), SolverConfig(max_iters=50))
+        assert (result.iterations, result.converged) == (50, False)
+
+    def test_perturbation_case_chain(self):
+        base, mutant, _ = make_perturbation_case(0)
+        chain = normalize(build_upmc(base, mutant), "complement", 0.85)
+        pi0 = initial_distribution(chain, base, mutant)
+        result = self.assert_matches_loop(chain, pi0, SolverConfig())
+        assert result.converged and result.iterations > 1
+
+
+class TestExactMatches:
+    """The baseline-sf raw chain read off the edge-confidence one."""
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 0.76, 1.0])
+    @pytest.mark.parametrize("norm", list(LabelNorm))
+    def test_equals_baseline_build(self, gamma, norm):
+        cfg = SimilarityConfig(gamma=gamma, label_normalization=norm)
+        graphs = [load_ontology(DATA_DIR / name) for name in FIXTURE_FILES]
+        base, mutant, _ = make_perturbation_case(1)
+        for g1, g2 in [*itertools.product(graphs, graphs), (base, mutant)]:
+            derived = exact_matches(build_upmc(g1, g2, cfg, EDGE_CONFIDENCE))
+            assert csr_arrays(derived.matrix) == csr_arrays(build_upmc(g1, g2, cfg, BASELINE_SF).matrix)
+
+    @settings(max_examples=100, deadline=None)
+    @given(labeled_graphs(), labeled_graphs(), st.sampled_from([0.0, 0.5, 0.76, 1.0]),
+           st.sampled_from(list(LabelNorm)))
+    def test_equals_baseline_build_on_generated_graphs(self, g1, g2, gamma, norm):
+        cfg = SimilarityConfig(gamma=gamma, label_normalization=norm)
+        derived = exact_matches(build_upmc(g1, g2, cfg, EDGE_CONFIDENCE))
+        assert csr_arrays(derived.matrix) == csr_arrays(build_upmc(g1, g2, cfg, BASELINE_SF).matrix)
+
+    def test_stochastic_chain_rejected(self):
+        with pytest.raises(ValueError, match="unnormalized"):
+            exact_matches(dense_chain([[1.0]]))

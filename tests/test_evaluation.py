@@ -1,8 +1,13 @@
 import random
+from dataclasses import replace
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chainalign.chain import SolverConfig
+from chainalign import pipeline
+from chainalign.chain import SolverConfig, SolverError
 from chainalign.evaluation import (
     ReferenceAlignment,
     UNDEFINED,
@@ -16,11 +21,11 @@ from chainalign.evaluation import (
     reference_to_tsv,
     synth_mutate,
 )
-from chainalign.lexical import SimilarityConfig
-from chainalign.ontology import to_json_dict
+from chainalign.lexical import LabelNorm, SimilarityConfig
+from chainalign.ontology import load_ontology, to_json_dict
 
 from benchcases import make_base_ontology, make_perturbation_case
-from conftest import make_graph, support
+from conftest import DATA_DIR, FIXTURE_FILES, labeled_graphs, make_graph, support
 
 RETURNED = {("a", "a"), ("b", "b"), ("c", "c")}
 VALID = {("a", "a"), ("b", "b"), ("d", "d"), ("e", "e")}
@@ -165,6 +170,72 @@ class TestCompare:
             sf = build_upmc(base, mutant, cfg, "baseline-sf")
             ec = build_upmc(base, mutant, cfg, "edge-confidence")
             assert support(sf) <= support(ec)
+
+
+def separate_rows(g1, g2, reference, sim_cfg, solver_cfg):
+    """(mode, F, returned, correct, iterations, converged) from one
+    standalone align call per mode, or the SolverError message."""
+    rows = []
+    for mode in ("baseline-sf", "edge-confidence"):
+        try:
+            alignment, result = pipeline.align(g1, g2, sim_cfg, replace(solver_cfg, chain_mode=mode))
+        except SolverError as exc:
+            return str(exc)
+        report = evaluate(alignment.pairs(), reference.pairs)
+        rows.append((mode, report.f_measure, report.returned, report.correct,
+                     result.iterations, result.converged))
+    return rows
+
+
+def compared_rows(g1, g2, reference, sim_cfg, solver_cfg):
+    try:
+        rows = compare(g1, g2, reference, sim_cfg, solver_cfg)
+    except SolverError as exc:
+        return str(exc)
+    return [(r.mode, r.report.f_measure, r.report.returned, r.report.correct,
+             r.iterations, r.converged) for r in rows]
+
+
+class TestCompareSharesOneBuild:
+    """compare builds the edge-confidence raw chain and pi0 once per call;
+    its rows must equal one standalone align call per mode."""
+
+    @pytest.mark.parametrize("method", ["iterative", "steady-state"])
+    @pytest.mark.parametrize("name", FIXTURE_FILES)
+    def test_rows_equal_separate_align_calls_on_fixtures(self, name, method):
+        base = load_ontology(DATA_DIR / name)
+        solver = SolverConfig(method=method)
+        cases = [(base, *synth_mutate(base, 7, kind)) for kind in ("label-edit", "edge-drop")]
+        cases.append(make_perturbation_case(2))
+        for g1, g2, reference in cases:
+            for sim in (SimilarityConfig(), SimilarityConfig(gamma=0.76)):
+                expected = separate_rows(g1, g2, reference, sim, solver)
+                assert compared_rows(g1, g2, reference, sim, solver) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(labeled_graphs(), labeled_graphs(), st.sampled_from([0.0, 0.5, 1.0]),
+           st.sampled_from(list(LabelNorm)), st.sampled_from(["iterative", "steady-state"]))
+    def test_rows_equal_separate_align_calls_on_generated_graphs(self, g1, g2, gamma, norm,
+                                                                 method):
+        reference = ReferenceAlignment(frozenset((t, t) for t in g1.terms if t in g2.terms))
+        sim = SimilarityConfig(gamma=gamma, label_normalization=norm)
+        solver = SolverConfig(method=method)
+        assert compared_rows(g1, g2, reference, sim, solver) == separate_rows(
+            g1, g2, reference, sim, solver)
+
+    @pytest.mark.parametrize("method, pi0_builds", [("iterative", 1), ("steady-state", 0)])
+    def test_one_raw_build_and_one_pi0_per_call(self, birds, method, pi0_builds):
+        base, mutant, reference = birds, *synth_mutate(birds, 7, "label-edit")
+        with mock.patch.object(pipeline, "build_upmc", wraps=pipeline.build_upmc) as build, \
+                mock.patch.object(pipeline, "initial_distribution",
+                                  wraps=pipeline.initial_distribution) as start, \
+                mock.patch("chainalign.evaluation.align", wraps=pipeline.align) as aligned:
+            compare(base, mutant, reference, solver_cfg=SolverConfig(method=method))
+        assert build.call_count == 1
+        assert build.call_args.args[3] == "edge-confidence"
+        assert start.call_count == pi0_builds
+        assert [c.args[3].chain_mode for c in aligned.call_args_list] == [
+            "baseline-sf", "edge-confidence"]
 
 
 class TestSynthMutate:
