@@ -6,19 +6,17 @@ terms, and the whole chain is one n1*n2 x n1*n2 scipy CSR matrix: state
 (sorted ids on each side), is row and column i * n2 + j. A transition
 (x, y) -> (x', y') exists exactly when ontology 1 has an edge x -> x'
 and ontology 2 has an edge y -> y' whose label sets are lexically
-compatible:
+compatible. Its weight is the thresholded reciprocal similarity of the
+closest label pair across the two label sets (``lexical.label_set_weights``,
+computed once per pair of label sets); ``build_upmc`` spreads those
+weights over the adjacency entries that carry the sets by sparse indexing.
 
-* ``edge-confidence`` mode weights the transition by the thresholded
-  reciprocal similarity of the closest label pair;
-* ``baseline-sf`` mode admits the transition with weight 1 only when the
-  label sets share an identical (normalized) label, reproducing the
-  pairwise connectivity graph of plain similarity flooding.
-
-Both weights come from ``lexical.label_set_weights``, once per pair of
-label sets; ``build_upmc`` spreads them over the adjacency entries that
-carry those sets by sparse indexing. An edge-confidence weight is 1.0
-exactly when the sets share a normalized label, so ``exact_matches``
-reads the baseline-sf chain off an edge-confidence one.
+The two chain modes share that build. ``edge-confidence`` uses the chain
+as built. ``baseline-sf``, the pairwise connectivity graph of plain
+similarity flooding, admits a transition with weight 1 only when the
+label sets share an identical (normalized) label; an edge-confidence
+weight is 1.0 exactly then, so ``exact_matches`` reads the baseline-sf
+chain off the edge-confidence one.
 
 Row normalization turns the raw weights into a row-stochastic matrix.
 Two readings of that step are implemented. Both treat the stored weight
@@ -145,8 +143,11 @@ class PairwiseChain:
             raise ValueError(f"matrix must be square, got shape {m.shape}")
         if ((m.indices < 0) | (m.indices >= n)).any():
             raise ValueError("column index out of range")
-        rows = np.repeat(np.arange(n), np.diff(m.indptr))
-        if (np.diff(rows * n + m.indices) <= 0).any():
+        # every entry must exceed the one before it, except at a row start
+        rising = np.diff(m.indices) > 0
+        starts = m.indptr[1:-1]
+        rising[starts[(starts > 0) & (starts < len(m.indices))] - 1] = True
+        if not rising.all():
             raise ValueError("columns must be sorted and unique within each row")
         if not (m.data > 0).all():
             raise ValueError("stored weights must be positive")
@@ -194,17 +195,14 @@ def build_upmc(
     g1: OntologyGraph,
     g2: OntologyGraph,
     cfg: SimilarityConfig | None = None,
-    chain_mode: str = EDGE_CONFIDENCE,
 ) -> PairwiseChain:
-    """Construct the unnormalized pairwise chain for two ontologies.
+    """Construct the unnormalized edge-confidence chain for two ontologies.
 
     Every adjacency entry carries one label set, so each pair of entries
     takes the weight of its two label sets (``label_set_weights``): the
     sets' weight matrix indexed by the entries' set ids on both sides.
     """
     cfg = cfg or SimilarityConfig()
-    if chain_mode not in CHAIN_MODES:
-        raise ValueError(f"chain_mode must be one of {CHAIN_MODES}, got {chain_mode!r}")
     if not g1.terms or not g2.terms:
         raise ValueError("both ontologies must contain at least one term")
 
@@ -217,7 +215,7 @@ def build_upmc(
     if not sets1 or not sets2:
         return PairwiseChain(sparse.csr_matrix((n, n)))
 
-    weight = label_set_weights(sets1, sets2, cfg, exact=chain_mode == BASELINE_SF)
+    weight = label_set_weights(sets1, sets2, cfg)
     # row e1, column e2: the weight of g1 entry e1 paired with g2 entry e2
     pairs = sparse.csr_matrix(weight)[sid1][:, sid2].tocoo()
     e1, e2 = pairs.row, pairs.col
@@ -234,9 +232,7 @@ def exact_matches(chain: PairwiseChain) -> PairwiseChain:
     ``label_set_weights`` gives a pair of label sets the edge-confidence
     weight 1.0 exactly when their least distance d is 0: sigma is 1 only
     at d = 0, and 1 reaches every gamma in [0, 1]. That is similarity
-    flooding's rule, so the entries equal to 1.0 are the chain that
-    ``build_upmc(..., BASELINE_SF)`` builds from the same settings, array
-    for array.
+    flooding's rule, so the entries equal to 1.0 are the baseline-sf chain.
     """
     if chain.stochastic:
         raise ValueError("exact_matches requires an unnormalized chain")
@@ -348,14 +344,11 @@ def ergodic_transform(chain: PairwiseChain, a: float) -> PairwiseChain:
 
 
 def initial_distribution(
-    chain: PairwiseChain,
     g1: OntologyGraph,
     g2: OntologyGraph,
     cfg: SimilarityConfig | None = None,
 ) -> np.ndarray:
     """Lexical starting point: state (x, y) weighted by sigma of the term labels."""
-    if len(chain) != len(g1.term_ids) * len(g2.term_ids):
-        raise ValueError("chain states must be the cross product of the two ontologies' terms")
     # state (i, j) at i * n2 + j: the row-major order of the distance matrix
     dist = label_distances([g1.label(t) for t in g1.term_ids],
                            [g2.label(t) for t in g2.term_ids], cfg or SimilarityConfig())

@@ -114,12 +114,11 @@ def compare(
 
     The two modes also share their inputs, built once per call
     (``pipeline.build_shared``): the unnormalized edge-confidence chain and,
-    for the iterative method, the lexical initial distribution. The
-    baseline-sf chain is read off the edge-confidence one: an entry's
-    weight is 1.0 exactly when its label sets share a normalized label,
-    which is similarity flooding's rule, for every gamma. So each mode
-    solves the same chain that a standalone ``align`` in that mode builds,
-    and only the lexical scoring is not repeated.
+    for the iterative method, the lexical initial distribution. Every
+    ``align`` reads the baseline-sf chain off the edge-confidence one
+    (``pipeline.build_chain``), so each mode solves the chain that a
+    standalone ``align`` in that mode builds, and only the lexical scoring
+    is not repeated.
     """
     sim_cfg = sim_cfg or SimilarityConfig()
     solver_cfg = solver_cfg or SolverConfig()

@@ -19,13 +19,13 @@ distance L to a score sigma in (0, 1]:
 ``label_set_weights`` is the one place labels become chain weights. For
 every pair of label sets it takes the least distance d between their
 labels and returns the edge-confidence weight 1/sigma(d) when
-sigma(d) >= ``gamma``, else 0, so its nonzero range is [1, 1/gamma]; or
-similarity flooding's weight, 1 on an exact match (d = 0), else 0, which
-it reads from label equality without computing any edit distance.
+sigma(d) >= ``gamma``, else 0, so its nonzero range is [1, 1/gamma].
+The weight is 1 exactly when d = 0, for every gamma in [0, 1], which is
+similarity flooding's rule: its pair graph keeps the weights equal to 1.
 Downstream row normalization decides how those raw weights are turned
-into transition probabilities. ``edit_similarity``, ``edge_confidence``,
-``label_set_confidence`` and ``labels_share_exact_match`` are the same
-rules for a single pair of labels or label sets.
+into transition probabilities. ``edit_similarity``, ``label_set_confidence``
+and ``labels_share_exact_match`` are the same rules for a single pair of
+labels or label sets.
 """
 from __future__ import annotations
 
@@ -161,49 +161,30 @@ def _distinct(labels: list[str]) -> tuple[list[str], np.ndarray]:
     return list(ids), np.array(inverse, dtype=np.intp)
 
 
-def _distances(labels1: list[str], labels2: list[str]) -> np.ndarray:
-    """Edit distance of every pair of two normalized label lists; each
-    distinct pair is scored once."""
-    distinct1, at1 = _distinct(labels1)
-    distinct2, at2 = _distinct(labels2)
-    return levenshtein_matrix(distinct1, distinct2)[np.ix_(at1, at2)]
-
-
 def label_distances(labels1: Sequence[str], labels2: Sequence[str],
                     cfg: SimilarityConfig) -> np.ndarray:
     """Edit distance between the normalized forms of every pair of labels,
     shape (len(labels1), len(labels2)); each distinct pair is scored once."""
-    return _distances([normalize_label(s, cfg) for s in labels1],
-                      [normalize_label(s, cfg) for s in labels2])
+    distinct1, at1 = _distinct([normalize_label(s, cfg) for s in labels1])
+    distinct2, at2 = _distinct([normalize_label(s, cfg) for s in labels2])
+    return levenshtein_matrix(distinct1, distinct2)[np.ix_(at1, at2)]
 
 
 def label_set_weights(sets1: Sequence[Collection[str]], sets2: Sequence[Collection[str]],
-                      cfg: SimilarityConfig, exact: bool = False) -> np.ndarray:
-    """Weight of every pair of non-empty label sets, shape (len(sets1), len(sets2)).
+                      cfg: SimilarityConfig) -> np.ndarray:
+    """Edge-confidence weight of every pair of non-empty label sets, shape
+    (len(sets1), len(sets2)).
 
     A pair's weight depends only on the least edit distance d between
     their normalized labels, because sigma falls strictly as d grows:
-    1/sigma(d) when sigma(d) >= gamma, else 0. With ``exact``, similarity
-    flooding's rule: 1 when d = 0, that is when the sets share a
-    normalized label, else 0; label equality decides that, with no edit
-    distance computed.
+    1/sigma(d) when sigma(d) >= gamma, else 0.
     """
-    labels1 = [normalize_label(s, cfg) for group in sets1 for s in group]
-    labels2 = [normalize_label(s, cfg) for group in sets2 for s in group]
-    if exact:
-        # one id per distinct label across both sides: d = 0 iff the ids agree
-        ids: dict[str, int] = {}
-        id1 = np.array([ids.setdefault(s, len(ids)) for s in labels1])
-        id2 = np.array([ids.setdefault(s, len(ids)) for s in labels2])
-        dist = id1[:, None] != id2[None, :]
-    else:
-        dist = _distances(labels1, labels2)
+    dist = label_distances([s for group in sets1 for s in group],
+                           [s for group in sets2 for s in group], cfg)
     # minimum over each set's rows, then over each set's columns
     starts1 = np.cumsum([0] + [len(group) for group in sets1[:-1]])
     starts2 = np.cumsum([0] + [len(group) for group in sets2[:-1]])
     dist = np.minimum.reduceat(np.minimum.reduceat(dist, starts1, axis=0), starts2, axis=1)
-    if exact:
-        return np.where(dist == 0, 1.0, 0.0)
     sigma = similarity_of_distance(dist)
     return np.where(sigma >= cfg.gamma, 1.0 / sigma, 0.0)
 
@@ -222,19 +203,6 @@ def label_set_confidence(s1: Collection[str], s2: Collection[str],
 
 def labels_share_exact_match(s1: Collection[str], s2: Collection[str],
                              cfg: SimilarityConfig | None = None) -> bool:
-    """True when the two sets share an identical label after normalization."""
-    if not s1 or not s2:
-        return False
-    return bool(label_set_weights([s1], [s2], cfg or SimilarityConfig(), exact=True)[0, 0])
-
-
-def edge_confidence(a: str, b: str, cfg: SimilarityConfig | None = None) -> float:
-    """Thresholded reciprocal similarity between two edge labels.
-
-    Returns 1/sigma when sigma(a, b) >= gamma (computed on normalized
-    labels), else 0. Labels must be non-empty after normalization.
-    """
-    cfg = cfg or SimilarityConfig()
-    if not normalize_label(a, cfg) or not normalize_label(b, cfg):
-        raise ValueError(f"labels must be non-empty after normalization: {a!r}, {b!r}")
-    return label_set_confidence({a}, {b}, cfg)
+    """True when the two sets share an identical label after normalization,
+    which is when their edge confidence is 1."""
+    return label_set_confidence(s1, s2, cfg) == 1.0

@@ -216,10 +216,10 @@ def _lexicographic_matching(tight: np.ndarray, match: np.ndarray, m: int) -> Non
         free[match[i]] = False
 
 
-def hungarian_max(mat) -> list[tuple[int, int]]:
+def hungarian_max(mat: np.ndarray) -> list[tuple[int, int]]:
     """Maximum-weight assignment of min(m, n) pairs, sorted by row.
 
-    Accepts a ``ScoreMatrix`` or any finite, non-negative 2-D array.
+    Accepts any finite, non-negative 2-D array.
     Rectangular inputs are padded with zero-weight dummies internally;
     dummy pairs never appear in the output. The weight is maximal over
     the exact scores, and ties between optimal assignments resolve to the
@@ -228,8 +228,6 @@ def hungarian_max(mat) -> list[tuple[int, int]]:
     # imported here: scipy.optimize adds 0.2-0.4 s to `import chainalign`
     from scipy.optimize import linear_sum_assignment
 
-    if isinstance(mat, ScoreMatrix):
-        mat = mat.values
     arr = np.asarray(mat, dtype=float)
     if arr.ndim != 2 or arr.size == 0:
         raise ValueError("matrix must be 2-D and non-empty")

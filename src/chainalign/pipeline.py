@@ -7,7 +7,6 @@ import numpy as np
 
 from .chain import (
     BASELINE_SF,
-    EDGE_CONFIDENCE,
     METHOD_ITERATIVE,
     PairwiseChain,
     SolveResult,
@@ -43,10 +42,10 @@ def build_shared(
     solver_cfg: SolverConfig,
 ) -> SharedBuild:
     """Build the raw edge-confidence chain, and pi0 when the method is iterative."""
-    chain = build_upmc(g1, g2, sim_cfg, EDGE_CONFIDENCE)
+    chain = build_upmc(g1, g2, sim_cfg)
     pi0 = None
     if solver_cfg.method == METHOD_ITERATIVE:
-        pi0 = initial_distribution(chain, g1, g2, sim_cfg)
+        pi0 = initial_distribution(g1, g2, sim_cfg)
     return SharedBuild(chain, pi0)
 
 
@@ -61,15 +60,13 @@ def build_chain(
 ) -> PairwiseChain:
     """Construct, normalize and (optionally) damp the pairwise chain.
 
-    With ``shared`` (built from the same ontologies and ``sim_cfg``), the
-    raw chain is taken from it rather than built.
+    The raw chain is the edge-confidence one, taken from ``shared`` (built
+    from the same ontologies and ``sim_cfg``) when given; baseline-sf keeps
+    its entries of weight 1 (``exact_matches``).
     """
-    if shared is None:
-        chain = build_upmc(g1, g2, sim_cfg, solver_cfg.chain_mode)
-    elif solver_cfg.chain_mode == BASELINE_SF:
-        chain = exact_matches(shared.edge_confidence)
-    else:
-        chain = shared.edge_confidence
+    chain = shared.edge_confidence if shared is not None else build_upmc(g1, g2, sim_cfg)
+    if solver_cfg.chain_mode == BASELINE_SF:
+        chain = exact_matches(chain)
     return normalize(chain, solver_cfg.norm_mode, solver_cfg.damping_a if damped else 1.0)
 
 
@@ -95,7 +92,7 @@ def align(
     if solver_cfg.method == METHOD_ITERATIVE:
         pi0 = shared.pi0 if shared is not None else None
         if pi0 is None:
-            pi0 = initial_distribution(chain, g1, g2, sim_cfg)
+            pi0 = initial_distribution(g1, g2, sim_cfg)
         result = iterate(chain, pi0, solver_cfg)
     else:
         result = steady_state(chain, solver_cfg)

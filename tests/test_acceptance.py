@@ -26,6 +26,7 @@ from chainalign.chain import (
     SolverConfig,
     build_upmc,
     ergodic_transform,
+    exact_matches,
     iterate,
     normalize,
     steady_state,
@@ -218,15 +219,14 @@ def test_c08_baseline_reduction():
     graph_pairs += [make_perturbation_case(i)[:2] for i in range(5)]
 
     for g1, g2 in graph_pairs:
-        exact = SimilarityConfig(gamma=1.0)
-        assert support(build_upmc(g1, g2, exact, EDGE_CONFIDENCE)) == support(
-            build_upmc(g1, g2, exact, BASELINE_SF)
-        )
+        # at gamma 1 edge confidence keeps exactly the baseline's transitions
+        exact = build_upmc(g1, g2, SimilarityConfig(gamma=1.0))
+        assert support(exact) == support(exact_matches(exact))
         for gamma in (0.25, 0.5, 0.75):
-            loose = SimilarityConfig(gamma=gamma)
-            sf = support(build_upmc(g1, g2, loose, BASELINE_SF))
-            ec = support(build_upmc(g1, g2, loose, EDGE_CONFIDENCE))
-            assert sf <= ec
+            ec = build_upmc(g1, g2, SimilarityConfig(gamma=gamma))
+            sf = support(exact_matches(ec))
+            assert sf == support(exact)
+            assert sf <= support(ec)
     passed(8, "baseline-reduction")
 
 

@@ -36,6 +36,7 @@ from chainalign.lexical import (
     normalize_label,
 )
 from chainalign.ontology import load_ontology
+from chainalign.pipeline import build_chain
 
 from benchcases import make_perturbation_case
 from conftest import (
@@ -83,7 +84,7 @@ class TestBuildUpmc:
         assert tmap[("C", "E")] == {("A", "F"): 2.0}  # sigma(o, n') = 1/2
 
     def test_baseline_mode_needs_exact_labels(self, figure_left, figure_right):
-        chain = build_upmc(figure_left, figure_right, SimilarityConfig(), BASELINE_SF)
+        chain = exact_matches(build_upmc(figure_left, figure_right, SimilarityConfig()))
         assert all(not row for row in chain.transitions)
 
     def test_single_term_graphs(self):
@@ -105,17 +106,16 @@ class TestBuildUpmc:
             build_upmc(figure_left, make_graph("", []))
 
     def test_gamma_one_equals_baseline_support(self, zoo):
-        cfg = SimilarityConfig(gamma=1.0)
-        ec = build_upmc(zoo, zoo, cfg, EDGE_CONFIDENCE)
-        sf = build_upmc(zoo, zoo, cfg, BASELINE_SF)
-        assert support(ec) == support(sf)
+        ec = build_upmc(zoo, zoo, SimilarityConfig(gamma=1.0))
+        assert support(ec) == support(exact_matches(ec))
 
     @pytest.mark.parametrize("gamma", [0.25, 0.5, 0.75, 1.0])
     def test_baseline_support_subset_of_edge_confidence(self, zoo, gamma):
-        cfg = SimilarityConfig(gamma=gamma)
-        ec = build_upmc(zoo, zoo, cfg, EDGE_CONFIDENCE)
-        sf = build_upmc(zoo, zoo, cfg, BASELINE_SF)
+        ec = build_upmc(zoo, zoo, SimilarityConfig(gamma=gamma))
+        sf = exact_matches(ec)
         assert support(sf) <= support(ec)
+        # the baseline chain does not depend on gamma
+        assert support(sf) == support(build_upmc(zoo, zoo, SimilarityConfig(gamma=1.0)))
 
 
 class TestNormalize:
@@ -220,26 +220,22 @@ class TestErgodicTransform:
 class TestInitialDistribution:
     def test_single_identical_pair(self):
         g = make_graph(["x"], [])
-        chain = build_upmc(g, g)
-        assert initial_distribution(chain, g, g).tolist() == [1.0]
+        assert initial_distribution(g, g).tolist() == [1.0]
 
     def test_equal_similarities_split_evenly(self):
         g1 = make_graph(["n"], [])
         g2 = make_graph(["a", "b"], [])  # sigma("n", .) = 3/4 for both
-        chain = build_upmc(g1, g2)
-        assert initial_distribution(chain, g1, g2).tolist() == [0.5, 0.5]
+        assert initial_distribution(g1, g2).tolist() == [0.5, 0.5]
 
     def test_l1_normalization_of_unequal_similarities(self):
         g1 = make_graph(["node"], [])
         g2 = make_graph(["node", "zzzz"], [])  # sigma = [1, 1/4]
-        chain = build_upmc(g1, g2)
-        assert initial_distribution(chain, g1, g2).tolist() == pytest.approx([0.8, 0.2])
+        assert initial_distribution(g1, g2).tolist() == pytest.approx([0.8, 0.2])
 
     def test_respects_label_normalization(self):
         g1 = make_graph(["hasA"], [])
         g2 = make_graph(["has_a"], [])
-        chain = build_upmc(g1, g2)
-        assert initial_distribution(chain, g1, g2).tolist() == [1.0]
+        assert initial_distribution(g1, g2).tolist() == [1.0]
 
 
 class TestSolverConfig:
@@ -476,6 +472,34 @@ class TestChainValidation:
         with pytest.raises(ValueError, match="sorted and unique"):
             chain_from_rows([[(1, 0.5), (0, 0.5)], [(1, 1.0)]], stochastic=True)
 
+    @pytest.mark.parametrize("rows", [
+        [[(1, 0.5), (2, 0.5)], [(0, 1.0)], [(2, 1.0)]],
+        [[(2, 1.0)], [], [(2, 1.0)]],
+        [[], [(0, 0.5), (2, 0.5)], [(0, 1.0)]],
+    ])
+    def test_row_may_start_at_or_below_previous_rows_last_column(self, rows):
+        assert chain_from_rows(rows).transitions == rows
+
+    @pytest.mark.parametrize("rows", [
+        [[(0, 1.0)], [(2, 0.5), (1, 0.5)], [(2, 1.0)]],
+        [[(0, 1.0)], [], [(1, 0.5), (1, 0.5)]],
+        [[(2, 1.0)], [(0, 0.25), (2, 0.25), (1, 0.5)], [(2, 1.0)]],
+    ])
+    def test_descending_or_duplicate_column_inside_a_later_row_rejected(self, rows):
+        with pytest.raises(ValueError, match="sorted and unique"):
+            chain_from_rows(rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.integers(0, 4), max_size=4), min_size=1, max_size=5))
+    def test_rejects_exactly_the_rows_not_strictly_rising(self, columns):
+        n = max(len(columns), 5)
+        rows = [[(c, 1.0) for c in cols] for cols in columns] + [[]] * (n - len(columns))
+        if all(a < b for cols in columns for a, b in zip(cols, cols[1:])):
+            chain_from_rows(rows)
+        else:
+            with pytest.raises(ValueError, match="sorted and unique"):
+                chain_from_rows(rows)
+
     def test_column_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
             chain_from_rows([[(1, 1.0)]], stochastic=True)
@@ -550,12 +574,14 @@ class TestPairwiseOracle:
     def test_matches_per_pair_scoring(self, g1, g2, gamma, norm, mode):
         cfg = SimilarityConfig(gamma=gamma, label_normalization=norm)
         fold = norm is LabelNorm.FOLD
-        chain = build_upmc(g1, g2, cfg, mode)
+        chain = build_upmc(g1, g2, cfg)
+        if mode == BASELINE_SF:
+            chain = exact_matches(chain)
         indptr, indices, data = pair_chain_arrays(g1, g2, gamma, fold, mode == BASELINE_SF)
         assert chain.matrix.indptr.tolist() == indptr
         assert chain.matrix.indices.tolist() == indices
         assert chain.matrix.data.tolist() == data
-        pi0 = initial_distribution(chain, g1, g2, cfg)
+        pi0 = initial_distribution(g1, g2, cfg)
         assert pi0.tolist() == lexical_start(g1, g2, fold).tolist()
         rows = chain.transitions
         for norm_mode in ("complement", "formula"):
@@ -564,13 +590,11 @@ class TestPairwiseOracle:
 
     @settings(max_examples=100, deadline=None)
     @given(labeled_graphs(), labeled_graphs(), st.sampled_from(list(LabelNorm)))
-    def test_baseline_sf_computes_no_edit_distance(self, g1, g2, norm):
+    def test_baseline_sf_is_edge_confidence_at_gamma_one(self, g1, g2, norm):
         cfg = SimilarityConfig(label_normalization=norm)
         sets1, sets2 = list(g1.adjacency.values()), list(g2.adjacency.values())
-        with mock.patch.object(lexical, "levenshtein_matrix",
-                               side_effect=AssertionError("edit-distance kernel called")):
-            chain = build_upmc(g1, g2, cfg, BASELINE_SF)
-            shared = [[labels_share_exact_match(s1, s2, cfg) for s2 in sets2] for s1 in sets1]
+        chain = exact_matches(build_upmc(g1, g2, cfg))
+        shared = [[labels_share_exact_match(s1, s2, cfg) for s2 in sets2] for s1 in sets1]
         # at gamma 1 the edge-confidence oracle keeps exactly the pairs at
         # edit distance 0, each with weight 1
         indptr, indices, data = pair_chain_arrays(g1, g2, 1.0, norm is LabelNorm.FOLD, False)
@@ -582,14 +606,14 @@ class TestPairwiseOracle:
         assert shared == [[any(levenshtein(a, b) == 0 for a in n1 for b in n2) for n2 in norm2]
                           for n1 in norm1]
 
-    def test_edit_distance_kernel_runs_once_per_edge_confidence_build(self, birds, zoo):
+    def test_edit_distance_kernel_runs_once_per_build_chain(self, birds, zoo):
         calls = {}
         for mode in (EDGE_CONFIDENCE, BASELINE_SF):
             with mock.patch.object(lexical, "levenshtein_matrix",
                                    wraps=lexical.levenshtein_matrix) as kernel:
-                build_upmc(birds, zoo, SimilarityConfig(), mode)
+                build_chain(birds, zoo, SimilarityConfig(), SolverConfig(chain_mode=mode))
             calls[mode] = kernel.call_count
-        assert calls == {EDGE_CONFIDENCE: 1, BASELINE_SF: 0}
+        assert calls == {EDGE_CONFIDENCE: 1, BASELINE_SF: 1}
 
 
 def csr_arrays(matrix):
@@ -713,13 +737,22 @@ class TestTransposedIterate:
     def test_perturbation_case_chain(self):
         base, mutant, _ = make_perturbation_case(0)
         chain = normalize(build_upmc(base, mutant), "complement", 0.85)
-        pi0 = initial_distribution(chain, base, mutant)
+        pi0 = initial_distribution(base, mutant)
         result = self.assert_matches_loop(chain, pi0, SolverConfig())
         assert result.converged and result.iterations > 1
 
 
 class TestExactMatches:
-    """The baseline-sf raw chain read off the edge-confidence one."""
+    """The baseline-sf raw chain read off the edge-confidence one, against
+    the oracle's similarity-flooding rule (a shared normalized label)."""
+
+    @staticmethod
+    def assert_matches_baseline_oracle(g1, g2, cfg):
+        derived = exact_matches(build_upmc(g1, g2, cfg)).matrix
+        fold = cfg.label_normalization is LabelNorm.FOLD
+        indptr, indices, data = pair_chain_arrays(g1, g2, cfg.gamma, fold, True)
+        assert (derived.indptr.tolist(), derived.indices.tolist(), derived.data.tolist()) == (
+            indptr, indices, data)
 
     @pytest.mark.parametrize("gamma", [0.0, 0.5, 0.76, 1.0])
     @pytest.mark.parametrize("norm", list(LabelNorm))
@@ -728,16 +761,14 @@ class TestExactMatches:
         graphs = [load_ontology(DATA_DIR / name) for name in FIXTURE_FILES]
         base, mutant, _ = make_perturbation_case(1)
         for g1, g2 in [*itertools.product(graphs, graphs), (base, mutant)]:
-            derived = exact_matches(build_upmc(g1, g2, cfg, EDGE_CONFIDENCE))
-            assert csr_arrays(derived.matrix) == csr_arrays(build_upmc(g1, g2, cfg, BASELINE_SF).matrix)
+            self.assert_matches_baseline_oracle(g1, g2, cfg)
 
     @settings(max_examples=100, deadline=None)
     @given(labeled_graphs(), labeled_graphs(), st.sampled_from([0.0, 0.5, 0.76, 1.0]),
            st.sampled_from(list(LabelNorm)))
     def test_equals_baseline_build_on_generated_graphs(self, g1, g2, gamma, norm):
-        cfg = SimilarityConfig(gamma=gamma, label_normalization=norm)
-        derived = exact_matches(build_upmc(g1, g2, cfg, EDGE_CONFIDENCE))
-        assert csr_arrays(derived.matrix) == csr_arrays(build_upmc(g1, g2, cfg, BASELINE_SF).matrix)
+        self.assert_matches_baseline_oracle(
+            g1, g2, SimilarityConfig(gamma=gamma, label_normalization=norm))
 
     def test_stochastic_chain_rejected(self):
         with pytest.raises(ValueError, match="unnormalized"):

@@ -162,14 +162,14 @@ class TestCompare:
         assert lines[1].startswith("self,baseline-sf,1.000000,1.000000,1.000000,")
 
     def test_end_to_end_support_subset(self):
-        from chainalign.chain import build_upmc
+        from chainalign.chain import build_upmc, exact_matches
 
         for case in range(5):
             base, mutant, _ = make_perturbation_case(case)
-            cfg = SimilarityConfig()
-            sf = build_upmc(base, mutant, cfg, "baseline-sf")
-            ec = build_upmc(base, mutant, cfg, "edge-confidence")
+            ec = build_upmc(base, mutant, SimilarityConfig())
+            sf = exact_matches(ec)
             assert support(sf) <= support(ec)
+            assert support(sf) == support(build_upmc(base, mutant, SimilarityConfig(gamma=1.0)))
 
 
 def separate_rows(g1, g2, reference, sim_cfg, solver_cfg):
@@ -232,7 +232,6 @@ class TestCompareSharesOneBuild:
                 mock.patch("chainalign.evaluation.align", wraps=pipeline.align) as aligned:
             compare(base, mutant, reference, solver_cfg=SolverConfig(method=method))
         assert build.call_count == 1
-        assert build.call_args.args[3] == "edge-confidence"
         assert start.call_count == pi0_builds
         assert [c.args[3].chain_mode for c in aligned.call_args_list] == [
             "baseline-sf", "edge-confidence"]

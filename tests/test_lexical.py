@@ -11,7 +11,6 @@ from chainalign import lexical
 from chainalign.lexical import (
     LabelNorm,
     SimilarityConfig,
-    edge_confidence,
     edit_similarity,
     label_set_confidence,
     labels_share_exact_match,
@@ -163,33 +162,32 @@ class TestEditSimilarity:
 
 
 class TestEdgeConfidence:
+    """Edge confidence of two single labels, as singleton label sets."""
+
     def test_identical_labels(self):
-        assert edge_confidence("hasA", "hasA") == 1.0
+        assert label_set_confidence({"hasA"}, {"hasA"}) == 1.0
 
     def test_distance_one_pair(self):
         # sigma = 3/4 over the default gamma = 0.5, confidence 1/sigma
-        assert edge_confidence("m", "m'", SimilarityConfig(label_normalization="none")) == pytest.approx(4 / 3)
+        cfg = SimilarityConfig(label_normalization="none")
+        assert label_set_confidence({"m"}, {"m'"}, cfg) == pytest.approx(4 / 3)
 
     def test_below_threshold_is_zero(self):
         cfg = SimilarityConfig(label_normalization="none")
         assert edit_similarity("ab", "xyxy") == 0.25
-        assert edge_confidence("ab", "xyxy", cfg) == 0.0
+        assert label_set_confidence({"ab"}, {"xyxy"}, cfg) == 0.0
 
     def test_normalization_equates_underscore_variants(self):
-        assert edge_confidence("hasA", "has_a") == 1.0
+        assert label_set_confidence({"hasA"}, {"has_a"}) == 1.0
 
     def test_without_normalization_they_differ(self):
         cfg = SimilarityConfig(label_normalization="none")
-        assert edge_confidence("hasA", "has_a", cfg) != 1.0
-
-    def test_label_empty_after_normalization_rejected(self):
-        with pytest.raises(ValueError):
-            edge_confidence("_-", "hasA")
+        assert label_set_confidence({"hasA"}, {"has_a"}, cfg) != 1.0
 
     @given(st.text(alphabet="abcx", min_size=1, max_size=6),
            st.text(alphabet="abcx", min_size=1, max_size=6))
     def test_symmetric(self, a, b):
-        assert edge_confidence(a, b) == edge_confidence(b, a)
+        assert label_set_confidence({a}, {b}) == label_set_confidence({b}, {a})
 
     @given(st.text(alphabet="abcx", min_size=1, max_size=6),
            st.text(alphabet="abcx", min_size=1, max_size=6),
@@ -197,20 +195,20 @@ class TestEdgeConfidence:
     def test_positive_iff_sigma_reaches_gamma(self, a, b, gamma):
         cfg = SimilarityConfig(gamma=gamma)
         sigma = edit_similarity(normalize_label(a, cfg), normalize_label(b, cfg))
-        conf = edge_confidence(a, b, cfg)
+        conf = label_set_confidence({a}, {b}, cfg)
         assert (conf > 0) == (sigma >= gamma)
 
     @given(st.text(alphabet="abcx", min_size=1, max_size=6),
            st.text(alphabet="abcx", min_size=1, max_size=6))
     def test_nonzero_range(self, a, b):
         cfg = SimilarityConfig(gamma=0.5)
-        conf = edge_confidence(a, b, cfg)
+        conf = label_set_confidence({a}, {b}, cfg)
         assert conf == 0.0 or 1.0 <= conf <= 1.0 / cfg.gamma
 
     def test_gamma_one_is_exact_match_regime(self):
         cfg = SimilarityConfig(gamma=1.0)
-        assert edge_confidence("hasA", "has_a", cfg) == 1.0  # equal after folding
-        assert edge_confidence("hasA", "hasB", cfg) == 0.0
+        assert label_set_confidence({"hasA"}, {"has_a"}, cfg) == 1.0  # equal after folding
+        assert label_set_confidence({"hasA"}, {"hasB"}, cfg) == 0.0
 
     def test_gamma_validation(self):
         with pytest.raises(ValueError):
@@ -224,7 +222,7 @@ class TestLabelSetConfidence:
 
     def test_singletons_reduce_to_edge_confidence(self):
         cfg = SimilarityConfig(label_normalization="none")
-        assert label_set_confidence({"m"}, {"m'"}, cfg) == edge_confidence("m", "m'", cfg)
+        assert label_set_confidence({"m"}, {"m'"}, cfg) == 1.0 / edit_similarity("m", "m'")
 
     def test_best_pair_wins(self):
         # enumerating the cross product by hand: ("hasA", "has_a") folds to

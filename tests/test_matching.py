@@ -11,7 +11,6 @@ from chainalign import matching
 from chainalign.matching import (
     Alignment,
     Correspondence,
-    ScoreMatrix,
     alignment_to_json,
     alignment_to_tsv,
     hungarian_max,
@@ -205,10 +204,6 @@ class TestHungarianMax:
         monkeypatch.setattr(matching, "_positive_cycle", spy)
         assert hungarian_max(mat) == expected
         assert any(c is not None for c in cycles)
-
-    def test_accepts_score_matrix(self):
-        mat = ScoreMatrix(rows=("a",), cols=("b",), values=np.array([[1.0]]))
-        assert hungarian_max(mat) == [(0, 0)]
 
 
 class TestRefine:
