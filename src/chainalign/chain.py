@@ -38,17 +38,19 @@ rounds to the same float as 1/k.
 
 The ergodic damping transform P' = aP + (1-a)I removes periodicity (it
 preserves the stationary distribution of irreducible chains) and should
-be applied before either solver. ``normalize`` applies it in the same
-pass that rescales the rows: it writes the final CSR once, with a
-diagonal slot in every row that lacks one, and the same floats as
-scaling P by a and adding (1-a)I. ``ergodic_transform`` damps an
-already stochastic chain through the same code.
+be applied before either solver. ``normalize`` applies it straight
+after it rescales the rows, as sparse algebra: the row shares, on the
+raw chain's pattern, scaled by a, plus a diagonal matrix that carries
+(1-a) in every row and a more in the empty rows (their self-loops).
+Entries that come to 0.0 are dropped. ``ergodic_transform`` damps an
+already stochastic chain through the same helper.
 
 The stationary distribution comes from either power iteration from the
 lexical initial distribution, or a direct sparse LU solve of
 pi (P - I) = 0 with one equation replaced by sum(pi) = 1. Power
 iteration multiplies by the transposed matrix, built once per solve.
-The direct solve assembles its system straight from P's arrays. It
+The direct solve reads P's CSR arrays as the CSC arrays of P^T, takes
+I off its first n - 1 rows and stacks a row of ones under them. It
 requires a unique stationary distribution, which holds exactly when the
 pair graph has one closed class; it counts the closed classes first and
 raises ``SolverError`` on more than one (power iteration still answers
@@ -246,8 +248,8 @@ def normalize(chain: PairwiseChain, norm_mode: str = NORM_COMPLEMENT,
               a: float = 1.0) -> PairwiseChain:
     """Rescale every row of an unnormalized chain to sum to 1, and damp it.
 
-    Damping (P' = aP + (1-a)I, see ``ergodic_transform``) happens in the
-    same pass, on the same CSR; ``a`` = 1 leaves the chain undamped.
+    Damping (P' = aP + (1-a)I, see ``ergodic_transform``) follows through
+    the same helper; ``a`` = 1 leaves the chain undamped.
     """
     if chain.stochastic:
         raise ValueError("chain is already stochastic")
@@ -255,9 +257,9 @@ def normalize(chain: PairwiseChain, norm_mode: str = NORM_COMPLEMENT,
         raise ValueError(f"norm_mode must be one of {NORM_MODES}, got {norm_mode!r}")
     _check_damping(a)
     m = chain.matrix
-    # empty rows become self-loops, which the single-entry rule sends to 1.0
-    damped = _damped(m, _shares(m, norm_mode), a, self_loops=np.diff(m.indptr) == 0)
-    return PairwiseChain(damped, stochastic=True)
+    p = sparse.csr_matrix((_shares(m, norm_mode), m.indices, m.indptr), shape=m.shape)
+    # empty rows become self-loops of weight 1
+    return PairwiseChain(_damped(p, a, loops=np.diff(m.indptr) == 0), stochastic=True)
 
 
 def _shares(m: sparse.csr_matrix, norm_mode: str) -> np.ndarray:
@@ -278,57 +280,11 @@ def _check_damping(a: float) -> None:
         raise ValueError(f"a must lie in (0, 1], got {a}")
 
 
-def _with_diagonal(matrix: sparse.csr_matrix, values: np.ndarray, need: np.ndarray,
-                   fill: np.ndarray, shift: float):
-    """CSR arrays (values, indices, indptr) of ``matrix``'s pattern carrying
-    ``values``, plus a diagonal entry carrying ``fill[i]`` in every row i
-    of ``need`` that stores none; then ``shift`` is added to every diagonal
-    entry. Columns stay sorted within each row."""
-    n = matrix.shape[0]
-    indptr, indices = matrix.indptr, matrix.indices
-    rows = np.repeat(np.arange(n, dtype=indices.dtype), np.diff(indptr))
-    on_diagonal = indices == rows
-    add = need.copy()
-    add[rows[on_diagonal]] = False
-    # an entry moves up by the diagonals added in earlier rows, and by one
-    # more when its row's new diagonal goes before it
-    at = np.cumsum(add) - add
-    at = at[rows] + (add[rows] & (indices > rows))
-    at += np.arange(len(indices))
-    size = len(indices) + int(np.count_nonzero(add))
-    new_indices = np.empty(size, dtype=indices.dtype)
-    new_values = np.empty(size)
-    new_indices[at] = indices
-    new_values[at] = values
-    new_values[at[on_diagonal]] += shift
-    free = np.ones(size, dtype=bool)
-    free[at] = False
-    slots = np.flatnonzero(free)  # in row order, one per added diagonal
-    added = np.flatnonzero(add)
-    new_indices[slots] = added
-    new_values[slots] = fill[added] + shift
-    new_indptr = indptr + np.concatenate(([0], np.cumsum(add)))
-    return new_values, new_indices, new_indptr
-
-
-def _damped(matrix: sparse.csr_matrix, p: np.ndarray, a: float,
-            self_loops: np.ndarray) -> sparse.csr_matrix:
-    """The stochastic matrix aP + (1-a)I, built as one CSR.
-
-    P has ``matrix``'s pattern carrying ``p``, plus a self-loop of weight 1
-    on every row of ``self_loops``. Every row gets a diagonal slot when
-    a < 1. Entries are a*p, and a*p + (1-a) on the diagonal: the floats of
-    scaling P by a and adding (1-a)I. Entries equal to 0.0 are dropped.
-    """
-    n = matrix.shape[0]
-    loops = self_loops.astype(float)
-    if a < 1.0:
-        args = (a * p, np.ones(n, dtype=bool), a * loops, 1.0 - a)
-    else:
-        args = (p, self_loops, loops, 0.0)
-    damped = sparse.csr_matrix(_with_diagonal(matrix, *args), shape=(n, n))
-    damped.eliminate_zeros()
-    return damped
+def _damped(p: sparse.csr_matrix, a: float, loops: np.ndarray) -> sparse.csr_matrix:
+    """aP + (1-a)I, where P is ``p`` plus a self-loop of weight 1 on every
+    row where ``loops`` is set. Sparse addition keeps columns sorted and
+    drops the entries that come to 0.0."""
+    return (p if a == 1.0 else a * p) + sparse.diags(a * loops + (1.0 - a), format="csr")
 
 
 def ergodic_transform(chain: PairwiseChain, a: float) -> PairwiseChain:
@@ -338,9 +294,7 @@ def ergodic_transform(chain: PairwiseChain, a: float) -> PairwiseChain:
     _check_damping(a)
     if a == 1.0:
         return chain
-    m = chain.matrix
-    damped = _damped(m, m.data, a, self_loops=np.zeros(len(chain), dtype=bool))
-    return PairwiseChain(damped, stochastic=True)
+    return PairwiseChain(_damped(chain.matrix, a, np.zeros(len(chain))), stochastic=True)
 
 
 def initial_distribution(
@@ -364,8 +318,8 @@ def iterate(chain: PairwiseChain, pi0: np.ndarray, cfg: SolverConfig | None = No
     pi = np.asarray(pi0, dtype=float)
     if pi.shape != (len(chain),):
         raise ValueError(f"pi0 must have one entry per state ({len(chain)})")
-    if pi.min() < 0 or pi.sum() <= 0:
-        raise ValueError("pi0 must be a non-negative vector with positive mass")
+    if not np.isfinite(pi).all() or pi.min() < 0 or pi.sum() <= 0:
+        raise ValueError("pi0 must be a finite non-negative vector with positive mass")
     pi = pi / pi.sum()
     # pi P as P^T pi, on a transpose built once: pi @ P transposes P on
     # every step. Both add each column's terms in row order, so the floats
@@ -438,26 +392,13 @@ def steady_state(chain: PairwiseChain, cfg: SolverConfig | None = None) -> Solve
 def _bordered_system(m: sparse.csr_matrix) -> sparse.csc_matrix:
     """P^T - I with its last row replaced by ones, as CSC.
 
-    Column c of P^T - I is row c of P less 1 on the diagonal, so the CSC
-    arrays are P's CSR arrays with a diagonal slot in every row, 1
-    subtracted there, entries that reach 0.0 and those in row n - 1
-    dropped, and a 1 appended to every column.
+    P's CSR arrays, read as CSC, are P^T. Subtracting I drops the entries
+    that reach 0.0 (absorbing states).
     """
     n = m.shape[0]
-    values, indices, indptr = _with_diagonal(m, m.data, np.ones(n, dtype=bool), np.zeros(n), -1.0)
-    keep = np.flatnonzero((values != 0.0) & (indices != n - 1))
-    cols = np.repeat(np.arange(n), np.diff(indptr))[keep]
-    # column c's kept entries move up by c, and its 1 follows them
-    ones = np.cumsum(np.bincount(cols, minlength=n)) + np.arange(n)
-    at = np.arange(len(keep)) + cols
-    system_indices = np.empty(len(keep) + n, dtype=indices.dtype)
-    system_values = np.empty(len(keep) + n)
-    system_indices[at] = indices[keep]
-    system_values[at] = values[keep]
-    system_indices[ones] = n - 1
-    system_values[ones] = 1.0
-    indptr = np.concatenate(([0], ones + 1))
-    return sparse.csc_matrix((system_values, system_indices, indptr), shape=(n, n))
+    transposed = sparse.csc_matrix((m.data, m.indices, m.indptr), shape=m.shape)
+    system = (transposed - sparse.identity(n, format="csc"))[:-1]
+    return sparse.vstack([system, sparse.csc_matrix(np.ones((1, n)))], format="csc")
 
 
 def dump_triplets(chain: PairwiseChain) -> str:

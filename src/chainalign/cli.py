@@ -133,6 +133,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         cfg.sim_config(), cfg.solver_config()  # the library configs check their fields
         if cfg.format not in FORMATS:
             raise ValueError(f"format must be one of {FORMATS}, got {cfg.format!r}")
+        if not 0.0 <= cfg.min_confidence <= 1.0:
+            raise ValueError(f"min_confidence must lie in [0, 1], got {cfg.min_confidence}")
     except (TypeError, ValueError) as exc:
         raise ValueError(f"invalid configuration: {exc}") from None
     return cfg

@@ -26,19 +26,6 @@ import numpy as np
 
 
 @dataclass(frozen=True)
-class ScoreMatrix:
-    """Rescaled stationary scores laid out term-by-term."""
-
-    rows: tuple[str, ...]
-    cols: tuple[str, ...]
-    values: np.ndarray
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self.rows), len(self.cols))
-
-
-@dataclass(frozen=True)
 class Correspondence:
     source: str
     target: str
@@ -65,7 +52,7 @@ class Alignment:
                 raise ValueError(f"confidence out of [0, 1]: {c}")
 
 
-def to_matrix(dist: np.ndarray, rows: Sequence[str], cols: Sequence[str]) -> ScoreMatrix:
+def to_matrix(dist: np.ndarray, rows: Sequence[str], cols: Sequence[str]) -> np.ndarray:
     """Reshape a pair distribution over ``rows`` x ``cols`` into a matrix
     rescaled to peak 1.0."""
     dist = np.asarray(dist, dtype=float)
@@ -81,7 +68,7 @@ def to_matrix(dist: np.ndarray, rows: Sequence[str], cols: Sequence[str]) -> Sco
     peak = values.max()
     if peak <= 0.0:
         raise ValueError("cannot build a score matrix from an all-zero distribution")
-    return ScoreMatrix(rows=tuple(rows), cols=tuple(cols), values=values / peak)
+    return values / peak
 
 
 def _positive_cycle(pred: list[int], starts: list[int]) -> list[int] | None:
@@ -270,14 +257,12 @@ def refine(
     ``cols`` and keep pairs scoring at least ``min_confidence``."""
     if not 0.0 <= min_confidence <= 1.0:
         raise ValueError(f"min_confidence must lie in [0, 1], got {min_confidence}")
-    matrix = to_matrix(dist, rows, cols)
+    scores = to_matrix(dist, rows, cols)
     correspondences = []
-    for r, c in hungarian_max(matrix.values):
-        score = float(matrix.values[r, c])
+    for r, c in hungarian_max(scores):
+        score = float(scores[r, c])
         if score >= min_confidence:
-            correspondences.append(
-                Correspondence(source=matrix.rows[r], target=matrix.cols[c], confidence=score)
-            )
+            correspondences.append(Correspondence(source=rows[r], target=cols[c], confidence=score))
     return Alignment(correspondences=correspondences, metadata=dict(metadata or {}))
 
 

@@ -196,20 +196,14 @@ def detect_format(path: str | Path) -> str:
     return "json" if str(path).endswith(".json") else "triples"
 
 
-def load_ontology(path: str | Path, format: str | None = None) -> OntologyGraph:
-    """Load and validate an ontology graph from ``path``.
-
-    ``format`` is ``"json"`` or ``"triples"``; when omitted it is inferred
-    from the file extension (``.json`` means JSON, anything else triples).
-    """
+def load_ontology(path: str | Path) -> OntologyGraph:
+    """Load and validate an ontology graph from ``path``: JSON when its
+    name ends in ``.json``, triples otherwise."""
     path = Path(path)
-    fmt = format or detect_format(path)
     text = path.read_text(encoding="utf-8")
-    if fmt == "json":
+    if detect_format(path) == "json":
         return _load_json(text, path.name)
-    if fmt == "triples":
-        return _load_triples(text, path.name)
-    raise ValueError(f"unknown ontology format {fmt!r}")
+    return _load_triples(text, path.name)
 
 
 def to_json_dict(g: OntologyGraph) -> dict:

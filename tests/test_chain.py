@@ -275,6 +275,13 @@ class TestIterate:
         with pytest.raises(ValueError, match="stochastic"):
             iterate(chain, np.array([0.5, 0.5]))
 
+    @pytest.mark.parametrize("pi0", [[0.5, 0.25, 0.25], [-0.5, 1.5], [0.0, 0.0],
+                                     [np.nan, 1.0], [np.inf, 1.0]],
+                             ids=["wrong-length", "negative", "all-zero", "nan", "inf"])
+    def test_bad_pi0_rejected(self, pi0):
+        with pytest.raises(ValueError, match="^pi0 must"):
+            iterate(dense_chain(np.eye(2)), np.array(pi0))
+
     def test_scaling_pi0_does_not_change_result(self):
         rng = random.Random(9)
         chain = random_stochastic_chain(rng, 12)

@@ -381,6 +381,7 @@ class TestMalformedInputs:
         ("align", "damping", "0.5"),
         ("align", "max_iters", 2.5),
         ("align", "min_confidence", "0.5"),
+        ("align", "min_confidence", 7),
         ("bench-gen", "seed", [1]),
         ("align", "format", "xml"),
     ])
