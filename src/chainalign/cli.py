@@ -2,13 +2,15 @@
 
 Subcommands::
 
-    align <ont1> <ont2>                 write the alignment (JSON or TSV)
+    align <ont1> <ont2>                 write the alignment (JSON on stdout)
     eval <alignment> <reference>        print precision/recall/F for one run
     compare <ont1> <ont2> <reference>   baseline vs edge-confidence CSV
     bench-gen <ont>                     seeded mutant ontology + reference
     dump-chain <ont1> <ont2>            sparse triplets of the transition matrix
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 solver failure.
+Every file is read and written in the format its path names: JSON when
+the name ends in ``.json``, the file kind's text format otherwise.
 A data error is malformed input, an input path that cannot be read, an
 output path that cannot be written, or a bad setting. Config-file values
 are checked like flags, and output paths are checked (not a directory, in
@@ -26,7 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .chain import (
@@ -44,11 +46,11 @@ from .evaluation import (
     compare,
     evaluate,
     load_reference,
-    reference_to_tsv,
+    save_reference,
     synth_mutate,
 )
 from .lexical import LabelNorm, SimilarityConfig
-from .matching import alignment_to_json, alignment_to_tsv, load_alignment
+from .matching import alignment_to_json, load_alignment, save_alignment
 from .ontology import load_ontology, save_ontology
 from .pipeline import align, build_chain
 
@@ -57,7 +59,6 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_SOLVER = 3
 
-FORMATS = ("json", "tsv")
 _SIM_DEFAULTS = SimilarityConfig()
 _SOLVER_DEFAULTS = SolverConfig()
 
@@ -76,7 +77,6 @@ class RunConfig:
     mode: str = _SOLVER_DEFAULTS.chain_mode
     min_confidence: float = 0.0
     seed: int = 0
-    format: str = "json"
 
     def sim_config(self) -> SimilarityConfig:
         return SimilarityConfig(gamma=self.gamma, label_normalization=LabelNorm(self.label_norm))
@@ -131,8 +131,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     try:
         cfg = RunConfig(**values)
         cfg.sim_config(), cfg.solver_config()  # the library configs check their fields
-        if cfg.format not in FORMATS:
-            raise ValueError(f"format must be one of {FORMATS}, got {cfg.format!r}")
         if not 0.0 <= cfg.min_confidence <= 1.0:
             raise ValueError(f"min_confidence must lie in [0, 1], got {cfg.min_confidence}")
     except (TypeError, ValueError) as exc:
@@ -143,8 +141,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 def build_parser() -> argparse.ArgumentParser:
     # Each run flag once, in a parent parser per group; a subcommand takes only
     # the groups it reads. Defaults stay None so a config file can fill unset flags.
-    config, chain, mode, solve, fmt, seed = (
-        argparse.ArgumentParser(add_help=False) for _ in range(6))
+    config, chain, mode, solve, seed = (
+        argparse.ArgumentParser(add_help=False) for _ in range(5))
     config.add_argument("--config",
                         help="JSON file pre-setting this subcommand's run flags by field name")
     chain.add_argument("--gamma", type=float, help="similarity threshold in [0, 1]")
@@ -159,18 +157,18 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--method", choices=list(METHODS), help="stationary distribution solver")
     solve.add_argument("--min-confidence", type=float,
                        help="drop correspondences scoring below this")
-    fmt.add_argument("--format", choices=list(FORMATS), help="alignment output format")
     seed.add_argument("--seed", type=int, help="RNG seed for bench-gen; no effect on compare")
 
     parser = _Parser(prog="chainalign",
                      description="Align two ontologies via a pairwise Markov chain")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_align = sub.add_parser("align", parents=[config, chain, mode, solve, fmt],
+    p_align = sub.add_parser("align", parents=[config, chain, mode, solve],
                              help="align two ontologies")
     p_align.add_argument("ontology1")
     p_align.add_argument("ontology2")
-    p_align.add_argument("-o", "--output", default=None, help="output path (default stdout)")
+    p_align.add_argument("-o", "--output", default=None,
+                         help="output path, TSV unless .json (default JSON on stdout)")
 
     p_eval = sub.add_parser("eval", help="score an alignment against a reference")
     p_eval.add_argument("alignment")
@@ -191,9 +189,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--mutation", choices=list(MUTATIONS), required=True)
     p_gen.add_argument("--rate", type=float, default=0.1, help="drop rate for edge-drop")
     p_gen.add_argument("--out-ontology", default=None,
-                       help="mutant path (default <stem>.mutant.json)")
+                       help="mutant path, triples unless .json (default <stem>.mutant.json)")
     p_gen.add_argument("--out-reference", default=None,
-                       help="reference path (default <stem>.reference.tsv)")
+                       help="reference path, TSV unless .json (default <stem>.reference.tsv)")
 
     # dump-chain dumps the undamped chain, so no solve flag applies
     p_dump = sub.add_parser("dump-chain", parents=[config, chain, mode],
@@ -236,8 +234,10 @@ def _cmd_align(args) -> int:
     g2 = load_ontology(args.ontology2)
     alignment, result = align(g1, g2, cfg.sim_config(), cfg.solver_config(), cfg.min_confidence)
     _warn_unconverged("the solve", result)
-    text = alignment_to_json(alignment) if cfg.format == "json" else alignment_to_tsv(alignment)
-    _emit(text, args.output)
+    if args.output:
+        save_alignment(alignment, args.output)
+    else:
+        sys.stdout.write(alignment_to_json(alignment))
     return EXIT_OK
 
 
@@ -275,8 +275,8 @@ def _cmd_bench_gen(args) -> int:
     _check_outputs(out_ont, out_ref)
     g = load_ontology(args.ontology)
     mutant, reference = synth_mutate(g, cfg.seed, args.mutation, args.rate)
-    save_ontology(mutant, out_ont, "json")
-    Path(out_ref).write_text(reference_to_tsv(reference), encoding="utf-8")
+    save_ontology(mutant, out_ont)
+    save_reference(reference, out_ref)
     print(f"wrote {out_ont} and {out_ref}", file=sys.stderr)
     return EXIT_OK
 
@@ -286,7 +286,7 @@ def _cmd_dump_chain(args) -> int:
     _check_outputs(args.output)
     g1 = load_ontology(args.ontology1)
     g2 = load_ontology(args.ontology2)
-    chain = build_chain(g1, g2, cfg.sim_config(), cfg.solver_config(), damped=False)
+    chain = build_chain(g1, g2, cfg.sim_config(), replace(cfg.solver_config(), damping_a=1.0))
     _emit(dump_triplets(chain), args.output)
     return EXIT_OK
 

@@ -17,8 +17,8 @@ from pathlib import Path
 
 from .chain import BASELINE_SF, EDGE_CONFIDENCE, SolverConfig
 from .lexical import SimilarityConfig
-from .matching import load_alignment
-from .ontology import LabeledEdge, OntologyGraph, Term
+from .matching import Alignment, Correspondence, load_alignment, save_alignment
+from .ontology import LabeledEdge, OntologyGraph, Term, is_json_path
 from .pipeline import align, build_shared
 
 MUTATIONS = ("label-edit", "label-scramble", "edge-drop", "label-case")
@@ -178,12 +178,12 @@ def comparison_csv(rows: list[CompareRow]) -> str:
 
 
 def load_reference(path: str | Path) -> ReferenceAlignment:
-    """Read a reference from 2/3-column TSV or the alignment JSON format.
+    """Read a reference from ``path``: alignment JSON by the ``.json`` name, else 2/3-column TSV.
 
     Any confidence column is ignored; only the pair set matters.
     """
     path = Path(path)
-    if str(path).endswith(".json"):
+    if is_json_path(path):
         return ReferenceAlignment(pairs=frozenset(load_alignment(path).pairs()))
     pairs = set()
     for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
@@ -200,9 +200,14 @@ def load_reference(path: str | Path) -> ReferenceAlignment:
     return ReferenceAlignment(pairs=frozenset(pairs))
 
 
-def reference_to_tsv(reference: ReferenceAlignment) -> str:
-    lines = [f"{s}\t{t}" for s, t in sorted(reference.pairs)]
-    return "\n".join(lines) + ("\n" if lines else "")
+def save_reference(reference: ReferenceAlignment, path: str | Path) -> None:
+    """Write ``reference`` as ``load_reference`` reads it: by the ``.json`` name, the
+    alignment JSON of its (one-to-one) pairs at confidence 1.0, else TSV."""
+    pairs = sorted(reference.pairs)
+    if is_json_path(path):
+        save_alignment(Alignment([Correspondence(s, t, 1.0) for s, t in pairs]), path)
+    else:
+        Path(path).write_text("".join(f"{s}\t{t}\n" for s, t in pairs), encoding="utf-8")
 
 
 _ALPHABET = "abcdefghijklmnopqrstuvwxyz"
@@ -234,7 +239,7 @@ def synth_mutate(
 ) -> tuple[OntologyGraph, ReferenceAlignment]:
     """Seeded mutated copy of ``g`` plus the identity reference alignment.
 
-    * ``label-edit``: every edge label takes 1-2 random character edits.
+    * ``label-edit``: every edge label (``subClassOf`` too) takes 1-2 character edits.
     * ``label-scramble``: every term label has its characters shuffled.
     * ``edge-drop``: each edge is removed with probability ``rate``.
     * ``label-case``: every term and edge label is case-flipped.
@@ -252,7 +257,7 @@ def synth_mutate(
 
     if mutation == "label-edit":
         edges = [
-            LabeledEdge(e.source, e.target, _perturb(e.label, rng, rng.randint(1, 2)), e.kind)
+            LabeledEdge(e.source, e.target, _perturb(e.label, rng, rng.randint(1, 2)))
             for e in edges
         ]
     elif mutation == "label-scramble":
@@ -266,9 +271,7 @@ def synth_mutate(
         edges = [e for e in edges if rng.random() >= rate]
     else:  # label-case
         terms = [Term(id=t.id, label=t.label.swapcase()) for t in terms]
-        edges = [
-            LabeledEdge(e.source, e.target, e.label.swapcase(), e.kind) for e in edges
-        ]
+        edges = [LabeledEdge(e.source, e.target, e.label.swapcase()) for e in edges]
 
     mutant = OntologyGraph(terms={t.id: t for t in terms}, edges=edges)
     reference = ReferenceAlignment(pairs=frozenset((tid, tid) for tid in g.terms))

@@ -24,6 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .ontology import is_json_path
+
 
 @dataclass(frozen=True)
 class Correspondence:
@@ -277,20 +279,24 @@ def alignment_to_json(alignment: Alignment) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def alignment_to_tsv(alignment: Alignment) -> str:
-    lines = [
-        f"{c.source}\t{c.target}\t{c.confidence!r}" for c in alignment.correspondences
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
+def save_alignment(alignment: Alignment, path: str | Path) -> None:
+    """Write ``alignment`` as ``load_alignment`` reads it: JSON by the ``.json``
+    name, else ``source<TAB>target<TAB>confidence`` lines."""
+    if is_json_path(path):
+        text = alignment_to_json(alignment)
+    else:
+        text = "".join(f"{c.source}\t{c.target}\t{c.confidence!r}\n"
+                       for c in alignment.correspondences)
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def load_alignment(path: str | Path) -> Alignment:
-    """Read an alignment back from its JSON or TSV form."""
+    """Read an alignment from ``path``, JSON or TSV by its name (``is_json_path``)."""
     path = Path(path)
     text = path.read_text(encoding="utf-8")
     metadata = {}
     correspondences = []
-    if str(path).endswith(".json"):
+    if is_json_path(path):
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:

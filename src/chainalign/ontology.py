@@ -1,16 +1,18 @@
-"""Ontologies as labeled directed graphs, plus on-disk ingestion.
+"""Ontologies as labeled directed graphs, plus reading and writing them.
 
-Two input formats are supported:
+An edge is its source, target and label; it is a hierarchy edge exactly
+when its label is ``subClassOf``, and it takes part in label-set lookups
+like any object property. Two file formats are supported, picked by the
+path for reading and writing alike (``is_json_path``):
 
-* JSON: ``{"terms": [{"id": "A", "label": "A"}],
+* JSON (``.json``): ``{"terms": [{"id": "A", "label": "A"}],
   "edges": [{"from": "A", "to": "B", "label": "m", "kind": "object"}]}``.
-  ``kind`` is ``"object"`` (default) or ``"hierarchy"``.
-* Triples: one edge per line, ``subject predicate object``, whitespace
-  separated, ``#`` starts a comment. Terms are created from mentions with
-  label equal to their id.
+  On input ``kind`` is ``"object"`` (default) or ``"hierarchy"``, which
+  sets the label to ``subClassOf``; on output it is derived from the label.
+* Triples (any other name): one edge per line, ``subject predicate
+  object``, whitespace separated, ``#`` starts a comment. Terms are
+  created from mentions with label equal to their id.
 
-Hierarchy edges always carry the canonical label ``subClassOf`` so that
-they take part in label-set lookups exactly like object properties.
 Labels are stored verbatim; any lexical normalization happens in the
 similarity layer, never here.
 """
@@ -18,7 +20,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from enum import Enum
 from pathlib import Path
 
 HIERARCHY_LABEL = "subClassOf"
@@ -26,11 +27,6 @@ HIERARCHY_LABEL = "subClassOf"
 
 class OntologyError(ValueError):
     """Malformed ontology input (parse errors, bad references, empty labels)."""
-
-
-class EdgeKind(str, Enum):
-    OBJECT = "object"
-    HIERARCHY = "hierarchy"
 
 
 @dataclass(frozen=True)
@@ -49,12 +45,12 @@ class Term:
 
 @dataclass(frozen=True)
 class LabeledEdge:
-    """A directed, labeled property between two terms."""
+    """A directed, labeled property between two terms; a hierarchy edge
+    when its label is ``HIERARCHY_LABEL``."""
 
     source: str
     target: str
     label: str
-    kind: EdgeKind = EdgeKind.OBJECT
 
     def __post_init__(self):
         if not self.label:
@@ -126,20 +122,14 @@ def _edge_from_json(obj: dict, index: int) -> LabeledEdge:
         target = _string(obj["to"], where, "to")
     except KeyError as exc:
         raise OntologyError(f"{where}: missing key {exc}") from None
-    kind_raw = obj.get("kind", "object")
-    try:
-        kind = EdgeKind(kind_raw)
-    except ValueError:
-        raise OntologyError(
-            f"{where}: kind must be 'object' or 'hierarchy', got {kind_raw!r}"
-        ) from None
-    if kind is EdgeKind.HIERARCHY:
-        label = HIERARCHY_LABEL
-    else:
-        label = _string(obj.get("label", ""), where, "label")
-        if not label:
-            raise OntologyError(f"{where}: empty label")
-    return LabeledEdge(source=source, target=target, label=label, kind=kind)
+    kind = obj.get("kind", "object")
+    if kind not in ("object", "hierarchy"):
+        raise OntologyError(f"{where}: kind must be 'object' or 'hierarchy', got {kind!r}")
+    label = HIERARCHY_LABEL if kind == "hierarchy" else _string(
+        obj.get("label", ""), where, "label")
+    if not label:
+        raise OntologyError(f"{where}: empty label")
+    return LabeledEdge(source=source, target=target, label=label)
 
 
 def _load_json(text: str, name: str) -> OntologyGraph:
@@ -187,21 +177,22 @@ def _load_triples(text: str, name: str) -> OntologyGraph:
         subj, pred, obj = parts
         for tid in (subj, obj):
             terms.setdefault(tid, Term(id=tid, label=tid))
-        kind = EdgeKind.HIERARCHY if pred == HIERARCHY_LABEL else EdgeKind.OBJECT
-        edges.append(LabeledEdge(source=subj, target=obj, label=pred, kind=kind))
+        edges.append(LabeledEdge(source=subj, target=obj, label=pred))
     return _make_graph(list(terms.values()), edges)
 
 
-def detect_format(path: str | Path) -> str:
-    return "json" if str(path).endswith(".json") else "triples"
+def is_json_path(path: str | Path) -> bool:
+    """The format rule for every file chainalign reads or writes: JSON when
+    the name ends in ``.json``, the kind's text format otherwise."""
+    return str(path).endswith(".json")
 
 
 def load_ontology(path: str | Path) -> OntologyGraph:
-    """Load and validate an ontology graph from ``path``: JSON when its
-    name ends in ``.json``, triples otherwise."""
+    """Load and validate an ontology graph from ``path``, JSON or triples
+    by its name (``is_json_path``)."""
     path = Path(path)
     text = path.read_text(encoding="utf-8")
-    if detect_format(path) == "json":
+    if is_json_path(path):
         return _load_json(text, path.name)
     return _load_triples(text, path.name)
 
@@ -214,33 +205,32 @@ def to_json_dict(g: OntologyGraph) -> dict:
             for t in sorted(g.terms.values(), key=lambda t: t.id)
         ],
         "edges": [
-            {"from": e.source, "to": e.target, "label": e.label, "kind": e.kind.value}
+            {"from": e.source, "to": e.target, "label": e.label,
+             "kind": "hierarchy" if e.label == HIERARCHY_LABEL else "object"}
             for e in sorted(g.edges, key=lambda e: (e.source, e.target, e.label))
         ],
     }
 
 
-def save_ontology(g: OntologyGraph, path: str | Path, format: str | None = None) -> None:
-    """Write ``g`` to disk in the JSON or triples format.
+def save_ontology(g: OntologyGraph, path: str | Path) -> None:
+    """Write ``g`` to ``path``: JSON when its name ends in ``.json``,
+    triples otherwise, as ``load_ontology`` reads it.
 
-    The triples format cannot represent ids or labels containing
-    whitespace; those graphs must be saved as JSON.
+    The triples format cannot hold relabeled or isolated terms, nor ids or
+    labels with whitespace or ``#``; such a graph raises ``OntologyError``
+    before anything is written, and must be saved as JSON.
     """
     path = Path(path)
-    fmt = format or detect_format(path)
-    if fmt == "json":
+    if is_json_path(path):
         path.write_text(
             json.dumps(to_json_dict(g), indent=2, sort_keys=True) + "\n",
             encoding="utf-8",
         )
         return
-    if fmt != "triples":
-        raise ValueError(f"unknown ontology format {fmt!r}")
     renamed = sorted(t.id for t in g.terms.values() if t.label != t.id)
     if renamed:
-        raise OntologyError(
-            "triples format forces label == id; cannot hold terms: " + ", ".join(renamed)
-        )
+        raise OntologyError("triples format forces label == id; cannot hold terms: "
+                            + ", ".join(renamed))
     lines = []
     for e in sorted(g.edges, key=lambda e: (e.source, e.target, e.label)):
         fields = (e.source, e.label, e.target)
@@ -252,7 +242,5 @@ def save_ontology(g: OntologyGraph, path: str | Path, format: str | None = None)
         lines.append(f"{e.source} {e.label} {e.target}")
     isolated = sorted(set(g.terms) - {e.source for e in g.edges} - {e.target for e in g.edges})
     if isolated:
-        raise OntologyError(
-            f"triples format cannot hold isolated terms: {', '.join(isolated)}"
-        )
+        raise OntologyError(f"triples format cannot hold isolated terms: {', '.join(isolated)}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")

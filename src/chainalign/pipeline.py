@@ -54,11 +54,11 @@ def build_chain(
     g2: OntologyGraph,
     sim_cfg: SimilarityConfig,
     solver_cfg: SolverConfig,
-    damped: bool = True,
     *,
     shared: SharedBuild | None = None,
 ) -> PairwiseChain:
-    """Construct, normalize and (optionally) damp the pairwise chain.
+    """Construct, normalize and damp the pairwise chain (``damping_a`` 1
+    leaves it undamped).
 
     The raw chain is the edge-confidence one, taken from ``shared`` (built
     from the same ontologies and ``sim_cfg``) when given; baseline-sf keeps
@@ -67,7 +67,7 @@ def build_chain(
     chain = shared.edge_confidence if shared is not None else build_upmc(g1, g2, sim_cfg)
     if solver_cfg.chain_mode == BASELINE_SF:
         chain = exact_matches(chain)
-    return normalize(chain, solver_cfg.norm_mode, solver_cfg.damping_a if damped else 1.0)
+    return normalize(chain, solver_cfg.norm_mode, solver_cfg.damping_a)
 
 
 def align(

@@ -5,7 +5,10 @@ import pytest
 
 from chainalign.chain import SolverConfig
 from chainalign.cli import RunConfig, build_parser, execute, resolve_config
+from chainalign.evaluation import load_reference, synth_mutate
 from chainalign.lexical import SimilarityConfig
+from chainalign.matching import load_alignment
+from chainalign.ontology import load_ontology, to_json_dict
 
 from conftest import DATA_DIR
 
@@ -23,20 +26,22 @@ def run(capsys, *argv):
 FLAG_VALUES = {
     "--gamma": "0.5", "--label-norm": "fold", "--mode": "edge-confidence",
     "--norm": "complement", "--epsilon": "1e-9", "--max-iters": "10", "--damping": "0.85",
-    "--method": "iterative", "--min-confidence": "0", "--format": "json", "--seed": "1",
+    "--method": "iterative", "--min-confidence": "0", "--seed": "1",
 }
 CHAIN_FLAGS = {"--gamma", "--label-norm", "--norm"}
 SOLVE_FLAGS = {"--epsilon", "--max-iters", "--damping", "--method", "--min-confidence"}
 RUN_FLAGS_TAKEN = {
-    "align": CHAIN_FLAGS | {"--mode"} | SOLVE_FLAGS | {"--format"},
+    "align": CHAIN_FLAGS | {"--mode"} | SOLVE_FLAGS,
     "compare": CHAIN_FLAGS | SOLVE_FLAGS | {"--seed"},
     "dump-chain": CHAIN_FLAGS | {"--mode"},
     "bench-gen": {"--seed"},
 }
+# flags no subcommand takes any more, with a value they once took
+REMOVED_FLAG_VALUES = {"--format": "tsv"}
 RUN_FLAGS_NOT_TAKEN = [
     (command, flag)
     for command, taken in RUN_FLAGS_TAKEN.items()
-    for flag in FLAG_VALUES
+    for flag in FLAG_VALUES | REMOVED_FLAG_VALUES
     if flag not in taken
 ]
 
@@ -60,10 +65,12 @@ class TestAlign:
         pairs = {(c["source"], c["target"]) for c in doc["correspondences"]}
         assert pairs == {("finch", "finch"), ("heron", "heron"), ("osprey", "osprey")}
 
-    def test_tsv_output(self, capsys):
-        code, out, _ = run(capsys, "align", BIRDS, BIRDS, "--format", "tsv")
+    def test_tsv_output(self, capsys, tmp_path):
+        out_path = tmp_path / "out.tsv"
+        code, out, _ = run(capsys, "align", BIRDS, BIRDS, "-o", str(out_path))
         assert code == 0
-        lines = [l for l in out.splitlines() if l]
+        assert out == ""
+        lines = [l for l in out_path.read_text().splitlines() if l]
         assert len(lines) == 3
         assert all(len(l.split("\t")) == 3 for l in lines)
 
@@ -100,6 +107,21 @@ class TestAlign:
         code, _, _ = run(capsys, "align", BIRDS, BIRDS, "-o", str(out_path))
         assert code == 0
         assert json.loads(out_path.read_text())["correspondences"]
+
+    @pytest.mark.parametrize("name", ["out.json", "out.tsv", "out.txt"])
+    def test_output_file_reads_back_as_written(self, capsys, tmp_path, name):
+        code, out, _ = run(capsys, "align", ZOO, ZOO)
+        assert code == 0
+        listed = [(c["source"], c["target"], c["confidence"])
+                  for c in json.loads(out)["correspondences"]]
+        out_path = tmp_path / name
+        assert execute(["align", ZOO, ZOO, "-o", str(out_path)]) == 0
+        assert [(c.source, c.target, c.confidence)
+                for c in load_alignment(out_path).correspondences] == listed
+        code, out, _ = run(capsys, "eval", str(out_path),
+                           write_identity_reference(tmp_path, "zoo.json"))
+        assert code == 0
+        assert out.startswith("precision=1.000000 recall=1.000000 f=1.000000")
 
 
 class TestEval:
@@ -185,6 +207,38 @@ class TestBenchGen:
             assert code == 0
             blobs.append(out_ont.read_bytes() + out_ref.read_bytes())
         assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize("ref_name", ["r.tsv", "r.json"])
+    @pytest.mark.parametrize("ont_name", ["m.json", "m.txt"])
+    def test_outputs_read_back_as_written(self, capsys, tmp_path, ont_name, ref_name):
+        # label-edit also edits subClassOf labels; the mutant on disk must be
+        # the library's mutant, whatever the format
+        source = tmp_path / "taxonomy.txt"
+        source.write_text("cat subClassOf mammal\ndog subClassOf mammal\n"
+                          "mammal subClassOf animal\ndog chases cat\n", encoding="utf-8")
+        out_ont, out_ref = tmp_path / ont_name, tmp_path / ref_name
+        code, _, _ = run(capsys, "bench-gen", str(source), "--mutation", "label-edit",
+                         "--seed", "3", "--out-ontology", str(out_ont),
+                         "--out-reference", str(out_ref))
+        assert code == 0
+        mutant, reference = synth_mutate(load_ontology(source), 3, "label-edit")
+        assert to_json_dict(load_ontology(out_ont)) == to_json_dict(mutant)
+        assert load_reference(out_ref) == reference
+        code, out, _ = run(capsys, "compare", str(source), str(out_ont), str(out_ref))
+        assert code == 0
+        assert len(out.splitlines()) == 3
+        code, out, _ = run(capsys, "align", str(source), str(out_ont))
+        assert code == 0
+        assert json.loads(out)["correspondences"]
+
+    def test_mutant_triples_cannot_hold_exits_2_and_writes_nothing(self, capsys, tmp_path):
+        out_ont, out_ref = tmp_path / "m.txt", tmp_path / "r.tsv"
+        code, out, err = run(capsys, "bench-gen", ZOO, "--mutation", "label-scramble",
+                             "--out-ontology", str(out_ont), "--out-reference", str(out_ref))
+        assert code == 2
+        assert out == ""
+        assert "triples format forces label == id" in err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestDumpChain:
@@ -273,7 +327,8 @@ class TestUsageAndConfig:
             inputs = [ZOO, ZOO, write_identity_reference(tmp_path, "zoo.json")]
         else:
             inputs = [BIRDS, ZOO]
-        code, out, err = run(capsys, command, *inputs, flag, FLAG_VALUES[flag])
+        code, out, err = run(capsys, command, *inputs, flag,
+                             (FLAG_VALUES | REMOVED_FLAG_VALUES)[flag])
         assert code == 1
         assert out == ""
         assert f"unrecognized arguments: {flag}" in err
@@ -299,6 +354,7 @@ class TestUsageAndConfig:
         ("compare", "format", "tsv"),
         ("compare", "mode", "baseline-sf"),
         ("align", "seed", 1),
+        ("align", "format", "xml"),
     ])
     def test_config_key_the_subcommand_does_not_read_exits_2_before_any_input_is_read(
         self, capsys, tmp_path, command, key, value
@@ -383,7 +439,6 @@ class TestMalformedInputs:
         ("align", "min_confidence", "0.5"),
         ("align", "min_confidence", 7),
         ("bench-gen", "seed", [1]),
-        ("align", "format", "xml"),
     ])
     def test_bad_config_value_exits_2_before_any_input_is_read(
         self, capsys, tmp_path, command, key, value

@@ -1,3 +1,4 @@
+import json
 import random
 from dataclasses import replace
 from unittest import mock
@@ -18,7 +19,7 @@ from chainalign.evaluation import (
     load_reference,
     precision,
     recall,
-    reference_to_tsv,
+    save_reference,
     synth_mutate,
 )
 from chainalign.lexical import LabelNorm, SimilarityConfig
@@ -307,7 +308,15 @@ class TestReferenceIO:
     def test_tsv_round_trip(self, tmp_path):
         reference = ReferenceAlignment(frozenset({("a", "x"), ("b", "y")}))
         path = tmp_path / "ref.tsv"
-        path.write_text(reference_to_tsv(reference), encoding="utf-8")
+        save_reference(reference, path)
+        assert path.read_text() == "a\tx\nb\ty\n"
+        assert load_reference(path) == reference
+
+    def test_json_round_trip(self, tmp_path):
+        reference = ReferenceAlignment(frozenset({("a", "x"), ("b", "y")}))
+        path = tmp_path / "ref.json"
+        save_reference(reference, path)
+        assert {c["confidence"] for c in json.loads(path.read_text())["correspondences"]} == {1.0}
         assert load_reference(path) == reference
 
     def test_three_column_tsv_ignores_confidence(self, tmp_path):

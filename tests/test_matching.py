@@ -12,10 +12,10 @@ from chainalign.matching import (
     Alignment,
     Correspondence,
     alignment_to_json,
-    alignment_to_tsv,
     hungarian_max,
     load_alignment,
     refine,
+    save_alignment,
     to_matrix,
 )
 
@@ -258,7 +258,8 @@ class TestAlignmentSerialization:
             correspondences=[Correspondence("A", "D", 0.97)], metadata={}
         )
         path = tmp_path / "out.tsv"
-        path.write_text(alignment_to_tsv(alignment), encoding="utf-8")
+        save_alignment(alignment, path)
+        assert path.read_text() == "A\tD\t0.97\n"
         assert load_alignment(path).pairs() == {("A", "D")}
 
     def test_duplicate_sources_rejected(self):

@@ -1,9 +1,13 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from chainalign.evaluation import MUTATIONS, synth_mutate
 from chainalign.ontology import (
-    EdgeKind,
     LabeledEdge,
     OntologyError,
     OntologyGraph,
@@ -32,8 +36,7 @@ class TestLoadJson:
         )
         g = load_ontology(path)
         assert len(g) == 2
-        assert len(g.edges) == 1
-        assert g.edges[0].kind is EdgeKind.OBJECT
+        assert g.edges == [LabeledEdge("A", "B", "m")]
         assert g.adjacency[("A", "B")] == {"m"}
 
     def test_kind_defaults_to_object(self, tmp_path):
@@ -42,7 +45,7 @@ class TestLoadJson:
             "g.json",
             '{"terms":[{"id":"A"},{"id":"B"}],"edges":[{"from":"A","to":"B","label":"m"}]}',
         )
-        assert load_ontology(path).edges[0].kind is EdgeKind.OBJECT
+        assert to_json_dict(load_ontology(path))["edges"][0]["kind"] == "object"
 
     def test_hierarchy_edges_get_canonical_label(self, tmp_path):
         path = write(
@@ -143,7 +146,7 @@ class TestLoadTriples:
 
     def test_subclassof_predicate_is_hierarchy(self, tmp_path):
         g = load_ontology(write(tmp_path, "g.txt", "A subClassOf B\n"))
-        assert g.edges[0].kind is EdgeKind.HIERARCHY
+        assert to_json_dict(g)["edges"][0]["kind"] == "hierarchy"
 
     def test_terms_auto_created_with_label_equal_to_id(self, tmp_path):
         g = load_ontology(write(tmp_path, "g.txt", "A m B\n"))
@@ -222,10 +225,55 @@ class TestRoundTrip:
             edges=[LabeledEdge("A", "B", "m")],
         )
         with pytest.raises(OntologyError, match="label == id"):
-            save_ontology(g, tmp_path / "out.txt", "triples")
+            save_ontology(g, tmp_path / "out.txt")
 
     def test_saved_json_is_canonical(self, tmp_path, zoo):
         out = tmp_path / "zoo.json"
         save_ontology(zoo, out)
         doc = json.loads(out.read_text())
         assert [t["id"] for t in doc["terms"]] == sorted(t["id"] for t in doc["terms"])
+
+
+ROUND_TRIP_EDGE_LABELS = ["subClassOf", "subClassOf", "isA", "partOf", "has part", "x#y"]
+
+
+@st.composite
+def ontology_docs(draw):
+    """Ontology JSON with object and hierarchy edges (``kind`` given for
+    ``subClassOf``), terms mostly labeled by their id."""
+    ids = [f"t{i}" for i in range(draw(st.integers(1, 5)))]
+    terms = [{"id": t, "label": draw(st.sampled_from([t, t, t, "Bird", "has part"]))}
+             for t in ids]
+    edges = []
+    for s, t, label in draw(st.lists(
+            st.tuples(st.sampled_from(ids), st.sampled_from(ids),
+                      st.sampled_from(ROUND_TRIP_EDGE_LABELS)), max_size=8)):
+        edges.append({"from": s, "to": t, "kind": "hierarchy"} if label == "subClassOf"
+                     else {"from": s, "to": t, "label": label})
+    return {"terms": terms, "edges": edges}
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(doc=ontology_docs(), mutation=st.sampled_from((None,) + MUTATIONS),
+           seed=st.integers(0, 2**16))
+    def test_saved_graph_loads_back_unchanged(self, doc, mutation, seed):
+        """A loaded graph, or a ``synth_mutate`` mutant of it, saves and loads
+        back unchanged: always as JSON, and as triples unless those refuse
+        the graph before writing anything."""
+        with tempfile.TemporaryDirectory() as tmp:
+            source = Path(tmp) / "in.json"
+            source.write_text(json.dumps(doc), encoding="utf-8")
+            g = load_ontology(source)
+            if mutation is not None:
+                g, _ = synth_mutate(g, seed, mutation, rate=0.5)
+            for path in (Path(tmp) / "g.json", Path(tmp) / "g.txt"):
+                try:
+                    save_ontology(g, path)
+                except OntologyError:
+                    assert path.suffix == ".txt" and not path.exists()
+                    continue
+                back = load_ontology(path)
+                assert back.terms == g.terms
+                assert {(e.source, e.target, e.label) for e in back.edges} == {
+                    (e.source, e.target, e.label) for e in g.edges}

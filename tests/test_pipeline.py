@@ -1,5 +1,6 @@
 import importlib
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -58,8 +59,8 @@ class TestBuildChain:
 
     def test_undamped_chain_skips_transform(self, birds):
         cfg = SolverConfig()
-        plain = build_chain(birds, birds, SimilarityConfig(), cfg, damped=False)
-        damped = build_chain(birds, birds, SimilarityConfig(), cfg, damped=True)
+        plain = build_chain(birds, birds, SimilarityConfig(), replace(cfg, damping_a=1.0))
+        damped = build_chain(birds, birds, SimilarityConfig(), cfg)
         assert plain.matrix.toarray() != pytest.approx(damped.matrix.toarray())
 
     def test_solvers_agree_on_fixture_chains(self, fixture_graph):
