@@ -47,14 +47,14 @@ already stochastic chain through the same helper.
 
 The stationary distribution comes from either power iteration from the
 lexical initial distribution, or a direct sparse LU solve of
-pi (P - I) = 0 with one equation replaced by sum(pi) = 1. Power
-iteration multiplies by the transposed matrix, built once per solve.
-The direct solve reads P's CSR arrays as the CSC arrays of P^T, takes
-I off its first n - 1 rows and stacks a row of ones under them. It
-requires a unique stationary distribution, which holds exactly when the
-pair graph has one closed class; it counts the closed classes first and
-raises ``SolverError`` on more than one (power iteration still answers
-such chains).
+(I - P^T) pi = 0. Power iteration multiplies by the transposed matrix,
+built once per solve. The direct solve requires a unique stationary
+distribution, which holds exactly when the pair graph has one closed
+class; it counts the closed classes first and raises ``SolverError`` on
+more than one (power iteration still answers such chains). It then pins
+pi to 1 at the closed class's first state r and solves the other n - 1
+equations for the other n - 1 entries, a system that keeps the sparsity
+of P; pi is normalized afterwards.
 """
 from __future__ import annotations
 
@@ -339,20 +339,24 @@ def iterate(chain: PairwiseChain, pi0: np.ndarray, cfg: SolverConfig | None = No
 
 
 def steady_state(chain: PairwiseChain, cfg: SolverConfig | None = None) -> SolveResult:
-    """Direct stationary solve: pi (P - I) = 0 with sum(pi) = 1.
+    """Direct stationary solve of (I - P^T) pi = 0, pinned at one state.
 
-    The system is nonsingular exactly when the chain has one closed class
-    (a strongly connected component that no stored transition leaves);
-    more raise ``SolverError``. Otherwise P^T - I, its last row replaced
-    by ones, is factored by sparse LU. Expects any damping to have been
-    applied already (see ``ergodic_transform``). A pure identity chain
-    admits every distribution as stationary; the uniform one is returned.
+    The solution is unique exactly when the chain has one closed class (a
+    strongly connected component that no stored transition leaves); more
+    raise ``SolverError``. Otherwise pi_r = 1 at r, the closed class's first
+    state (a transient state has no mass to pin), and sparse LU solves the
+    other n - 1 equations: I - P^T without row and column r, against P's
+    row r without column r. Each column there is a row of I - P less one
+    entry, so the system is column diagonally dominant: it needs no row
+    pivoting, and SuperLU's symmetric mode keeps the diagonal as pivot.
+    Expects any damping to have been applied already (see
+    ``ergodic_transform``). A pure identity chain admits every
+    distribution as stationary; the uniform one is returned.
     """
     # imported here: scipy.sparse.linalg adds about 0.1 s to `import chainalign`
     from scipy.sparse.csgraph import connected_components
     from scipy.sparse.linalg import splu
 
-    cfg = cfg or SolverConfig()
     if not chain.stochastic:
         raise ValueError("steady_state requires a stochastic chain")
     n = len(chain)
@@ -364,20 +368,26 @@ def steady_state(chain: PairwiseChain, cfg: SolverConfig | None = None) -> Solve
         return SolveResult(distribution=pi, iterations=0, converged=True)
     count, labels = connected_components(m, directed=True, connection="strong")
     rows = np.repeat(np.arange(n), np.diff(m.indptr))
-    leaving = labels[rows] != labels[m.indices]
-    closed = count - len(np.unique(labels[rows[leaving]]))
+    left = np.zeros(count, dtype=bool)  # components that some transition leaves
+    left[labels[rows[labels[rows] != labels[m.indices]]]] = True
+    closed = count - np.count_nonzero(left)
     if closed > 1:
         raise SolverError(
             "stationary system is singular: the pair chain splits into several "
             f"closed classes ({closed} found), so its stationary distribution is "
             f"not unique; {_REMEDY}"
         )
-    rhs = np.zeros(n)
-    rhs[n - 1] = 1.0
+    r = int(np.argmin(left[labels]))
+    keep = np.arange(n) != r
+    # P's CSR arrays, read as CSC, are P^T; subtracting drops the 0.0 entries
+    transposed = sparse.csc_matrix((m.data, m.indices, m.indptr), shape=m.shape)
+    system = (sparse.identity(n, format="csc") - transposed)[keep][:, keep]
     try:
-        pi = splu(_bordered_system(m)).solve(rhs)
+        pinned = splu(system, options=dict(SymmetricMode=True)).solve(m[r].toarray()[0, keep])
     except RuntimeError as exc:  # a weight too small to register against 1
         raise SolverError(f"stationary system is numerically singular ({exc}); {_REMEDY}") from exc
+    pi = np.insert(pinned, r, 1.0)
+    pi = pi / pi.sum()
     lowest = pi.min()
     if lowest < -1e-9:
         raise SolverError(
@@ -387,18 +397,6 @@ def steady_state(chain: PairwiseChain, cfg: SolverConfig | None = None) -> Solve
     pi = np.clip(pi, 0.0, None)
     pi = pi / pi.sum()
     return SolveResult(distribution=pi, iterations=0, converged=True)
-
-
-def _bordered_system(m: sparse.csr_matrix) -> sparse.csc_matrix:
-    """P^T - I with its last row replaced by ones, as CSC.
-
-    P's CSR arrays, read as CSC, are P^T. Subtracting I drops the entries
-    that reach 0.0 (absorbing states).
-    """
-    n = m.shape[0]
-    transposed = sparse.csc_matrix((m.data, m.indices, m.indptr), shape=m.shape)
-    system = (transposed - sparse.identity(n, format="csc"))[:-1]
-    return sparse.vstack([system, sparse.csc_matrix(np.ones((1, n)))], format="csc")
 
 
 def dump_triplets(chain: PairwiseChain) -> str:

@@ -208,11 +208,13 @@ def _lexicographic_matching(tight: np.ndarray, match: np.ndarray, m: int) -> Non
 def hungarian_max(mat: np.ndarray) -> list[tuple[int, int]]:
     """Maximum-weight assignment of min(m, n) pairs, sorted by row.
 
-    Accepts any finite, non-negative 2-D array.
-    Rectangular inputs are padded with zero-weight dummies internally;
-    dummy pairs never appear in the output. The weight is maximal over
-    the exact scores, and ties between optimal assignments resolve to the
-    lexicographically smallest (row, col) list.
+    Accepts any finite, non-negative 2-D array. A wide m x n input keeps
+    only the columns where some row scores at least its own m-th best: a
+    row matched lower has a free better column among its top m. A tall one
+    keeps rows alike. The rest is padded to a square with zero-weight
+    dummies internally; dummy pairs never appear in the output. The
+    weight is maximal over the exact scores, and ties between optimal
+    assignments resolve to the lexicographically smallest (row, col) list.
     """
     # imported here: scipy.optimize adds 0.2-0.4 s to `import chainalign`
     from scipy.optimize import linear_sum_assignment
@@ -224,6 +226,13 @@ def hungarian_max(mat: np.ndarray) -> list[tuple[int, int]]:
         raise ValueError("matrix entries must be finite")
     if arr.min() < 0:
         raise ValueError("matrix entries must be non-negative")
+    m, n = arr.shape
+    rows, cols = np.arange(m), np.arange(n)
+    if m < n:
+        cols = np.flatnonzero((arr >= np.partition(arr, n - m, axis=1)[:, n - m, None]).any(axis=0))
+    elif m > n:
+        rows = np.flatnonzero((arr >= np.partition(arr, m - n, axis=0)[m - n]).any(axis=1))
+    arr = arr[np.ix_(rows, cols)]
     m, n = arr.shape
     size = max(m, n)
 
@@ -245,7 +254,7 @@ def hungarian_max(mat: np.ndarray) -> list[tuple[int, int]]:
 
     tight = _exact_duals(weight, match, pot)
     _lexicographic_matching(tight, match, m)
-    return [(i, int(match[i])) for i in range(m) if match[i] < n]
+    return [(int(rows[i]), int(cols[match[i]])) for i in range(m) if match[i] < n]
 
 
 def refine(

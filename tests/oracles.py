@@ -9,10 +9,9 @@ closed classes come from plain reachability sets and the stationary
 distribution from a dense solve. Nothing here shares code with the
 package.
 
-The last three are the package's earlier scipy constructions, kept as
+The last two are the package's earlier scipy constructions, kept as
 array-for-array references for the ones that replaced them: normalization
-followed by damping as two sparse stages, the bordered steady-state system
-assembled by transpose, subtract, slice and stack, and power iteration as
+followed by damping as two sparse stages, and power iteration as
 ``pi @ P``.
 """
 from __future__ import annotations
@@ -240,8 +239,8 @@ def damp_rows(rows, a: float):
     return out
 
 
-def closed_class_count(rows) -> int:
-    """Number of closed classes of the chain whose row i lists ``(column, weight)`` pairs.
+def closed_classes(rows) -> set[frozenset[int]]:
+    """Closed classes of the chain whose row i lists ``(column, weight)`` pairs.
 
     A closed class is a set of states that reach each other and reach
     nothing else: state i is in one exactly when every state it reaches
@@ -256,9 +255,12 @@ def closed_class_count(rows) -> int:
                     seen.add(c)
                     todo.append(c)
         reach.append(seen)
-    closed = {frozenset(reach[i]) for i in range(len(rows))
-              if all(i in reach[j] for j in reach[i])}
-    return len(closed)
+    return {frozenset(reach[i]) for i in range(len(rows))
+            if all(i in reach[j] for j in reach[i])}
+
+
+def closed_class_count(rows) -> int:
+    return len(closed_classes(rows))
 
 
 def stationary_dense(matrix) -> np.ndarray:
@@ -352,14 +354,6 @@ def normalize_then_damp(matrix, norm_mode: str, a: float) -> sparse.csr_matrix:
     if a == 1.0:
         return m
     return a * m + sparse.diags(np.full(m.shape[0], 1.0 - a), format="csr")
-
-
-def bordered_system(matrix) -> sparse.csc_matrix:
-    """P^T - I with its last row replaced by ones, through transpose,
-    subtract, ``tocsr``, slice and ``vstack``."""
-    n = matrix.shape[0]
-    system = (matrix.T - sparse.identity(n, format="csr")).tocsr()[:-1]
-    return sparse.vstack([system, sparse.csr_matrix(np.ones((1, n)))], format="csc")
 
 
 def iterate_rmatmul(matrix, pi0, epsilon: float, max_iters: int):

@@ -7,9 +7,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
+from scipy.sparse.linalg import splu
 
 import chainalign
 from chainalign.chain import (
@@ -18,7 +19,6 @@ from chainalign.chain import (
     PairwiseChain,
     SolverConfig,
     SolverError,
-    _bordered_system,
     build_upmc,
     ergodic_transform,
     exact_matches,
@@ -51,8 +51,8 @@ from conftest import (
     support,
 )
 from oracles import (
-    bordered_system,
     closed_class_count,
+    closed_classes,
     damp_rows,
     iterate_rmatmul,
     lexical_start,
@@ -361,6 +361,21 @@ class TestSteadyState:
         # state 0 leaks into the absorbing state 1 and keeps no mass
         chain = dense_chain([[0.5, 0.5], [0, 1]])
         assert steady_state(chain).distribution.tolist() == [0.0, 1.0]
+
+    @pytest.mark.parametrize("matrix, expected", [
+        # closed class {0, 1}: pi_1 = 2 pi_0; state 2 leaks into it
+        ([[0.5, 0.5, 0], [0.25, 0.75, 0], [0.2, 0.3, 0.5]], [1 / 3, 2 / 3, 0]),
+        # closed class {1, 2} between the transient states 0 and 3
+        ([[0.5, 0.5, 0, 0], [0, 0.6, 0.4, 0], [0, 0.8, 0.2, 0], [0.1, 0, 0.4, 0.5]],
+         [0, 2 / 3, 1 / 3, 0]),
+        # the absorbing state 0 drains the rest
+        ([[1, 0, 0], [0.5, 0.5, 0], [0, 0.5, 0.5]], [1, 0, 0]),
+    ])
+    def test_hand_solved_closed_class_before_transient_states(self, matrix, expected):
+        pi = steady_state(dense_chain(matrix)).distribution
+        assert np.max(np.abs(pi - expected)) <= 1e-12
+        assert np.max(np.abs(pi - stationary_dense(matrix))) <= 1e-12
+        assert all(pi[i] == 0.0 for i, e in enumerate(expected) if e == 0)
 
     def test_underflowing_weight_raises_numerically_singular(self):
         # one closed class, but 1.0 - 1.0 leaves state 0 no pivot: its only
@@ -696,24 +711,43 @@ class TestFusedNormalize:
             assert csr_arrays(normalize(raw, "complement", a).matrix) == csr_arrays(expected)
 
 
-class TestBorderedSystem:
-    """steady_state's system P^T - I, last row ones, against the earlier
-    transpose, subtract, slice and stack construction."""
+class TestPinnedSystem:
+    """steady_state factors I - P^T without the row and column of r, the
+    first state of the closed class; checked against the same system built
+    densely by numpy."""
+
+    def check(self, chain):
+        (closed,) = closed_classes(chain.transitions)
+        r = min(closed)
+        n = len(chain)
+        expected = np.delete(np.delete(np.eye(n) - chain.matrix.toarray().T, r, axis=0), r, axis=1)
+        with mock.patch("scipy.sparse.linalg.splu", wraps=splu) as factor:
+            steady_state(chain)
+        (system,) = factor.call_args.args
+        assert factor.call_count == 1 and system.format == "csc"
+        assert np.array_equal(system.toarray(), expected)
+        assert system.nnz == np.count_nonzero(expected)
 
     @settings(max_examples=100, deadline=None)
     @given(raw_rows(), st.sampled_from(["complement", "formula"]), DAMPING)
-    def test_matches_stacked_construction(self, rows, norm_mode, a):
-        matrix = normalize(chain_from_rows(rows), norm_mode, a).matrix
-        assert csr_arrays(_bordered_system(matrix)) == csr_arrays(bordered_system(matrix))
+    def test_matches_dense_construction(self, rows, norm_mode, a):
+        chain = normalize(chain_from_rows(rows), norm_mode, a)
+        assume(support(chain) != {(i, i) for i in range(len(chain))})  # not the identity
+        if closed_class_count(chain.transitions) > 1:
+            with mock.patch("scipy.sparse.linalg.splu") as factor, pytest.raises(SolverError):
+                steady_state(chain)
+            assert factor.call_count == 0
+            return
+        self.check(chain)
 
     def test_ring_chain(self):
         # a ring with chords, as in the steady-state benchmark: every
-        # diagonal entry is inserted by damping, and the last column is stored
+        # diagonal entry is inserted by damping, and state 0 is pinned
         n = 30
         rows = [sorted({(i + 1) % n: 1.0, (i * 7 + 3) % n: 2.0}.items()) for i in range(n)]
-        matrix = normalize(chain_from_rows(rows), "complement", 0.85).matrix
-        assert matrix[:, n - 1].nnz > 0
-        assert csr_arrays(_bordered_system(matrix)) == csr_arrays(bordered_system(matrix))
+        chain = normalize(chain_from_rows(rows), "complement", 0.85)
+        assert chain.matrix[:, 0].nnz > 1
+        self.check(chain)
 
 
 class TestTransposedIterate:

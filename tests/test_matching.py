@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,10 +24,11 @@ from oracles import brute_force_assignment, greedy_row_assignment_total, lexicog
 
 
 @st.composite
-def tie_heavy_matrices(draw):
-    """m x n matrices, m and n in 1..8, over a few planted values: exact
-    ties, zeros, the smallest subnormal and each value's 1-ulp neighbours."""
-    m, n = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+def tie_heavy_matrices(draw, shapes=st.tuples(st.integers(1, 8), st.integers(1, 8))):
+    """m x n matrices, m and n in 1..8 by default, over a few planted
+    values: exact ties, zeros, the smallest subnormal and each value's
+    1-ulp neighbours."""
+    m, n = draw(shapes)
     planted = draw(st.lists(
         st.sampled_from([0.0, 5e-324, 1e-300, 0.1, 0.7, 1.0]) | st.floats(0.0, 1.0),
         min_size=1, max_size=4,
@@ -35,6 +37,13 @@ def tie_heavy_matrices(draw):
                    for v in (p, np.nextafter(p, 0.0), np.nextafter(p, 2.0))})
     cells = draw(st.lists(st.sampled_from(pool), min_size=m * n, max_size=m * n))
     return np.array(cells).reshape(m, n)
+
+
+# at least twice as wide as tall, or as tall as wide, up to 9: the shapes
+# where hungarian_max drops columns (rows) before padding
+LOPSIDED = st.integers(1, 4).flatmap(
+    lambda k: st.tuples(st.just(k), st.integers(2 * k, 9))).flatmap(
+    lambda shape: st.sampled_from([shape, shape[::-1]]))
 
 
 def ids_for(m, n):
@@ -179,6 +188,23 @@ class TestHungarianMax:
     @given(tie_heavy_matrices())
     def test_matches_the_exact_oracle(self, mat):
         assert hungarian_max(mat) == lexicographic_assignment(mat.tolist())
+
+    @settings(max_examples=150, deadline=None)
+    @given(tie_heavy_matrices(LOPSIDED))
+    def test_lopsided_matrices_match_the_exact_oracle(self, mat):
+        assert hungarian_max(mat) == lexicographic_assignment(mat.tolist())
+
+    @pytest.mark.parametrize("shape", [(5, 600), (600, 5)])
+    def test_five_by_600_matches_its_padded_square(self, shape):
+        # two decimals leave ties around every row's 5th best; padding the
+        # square by hand keeps every column (row) in the solve
+        mat = np.round(np.random.default_rng(9).random(shape), 2)
+        square = np.zeros((600, 600))
+        square[:shape[0], :shape[1]] = mat
+        expected = [(i, j) for i, j in hungarian_max(square) if i < shape[0] and j < shape[1]]
+        with mock.patch("scipy.optimize.linear_sum_assignment", wraps=linear_sum_assignment) as solve:
+            assert hungarian_max(mat) == expected
+        assert max(solve.call_args.args[0].shape) < 600
 
     def test_inexact_float_candidate_is_repaired(self, monkeypatch):
         # 0.7000000000000001 (7 * 0.1) is one ulp above 0.7: the optimum
