@@ -338,7 +338,7 @@ def iterate(chain: PairwiseChain, pi0: np.ndarray, cfg: SolverConfig | None = No
     return SolveResult(distribution=pi, iterations=iterations, converged=converged)
 
 
-def steady_state(chain: PairwiseChain, cfg: SolverConfig | None = None) -> SolveResult:
+def steady_state(chain: PairwiseChain) -> SolveResult:
     """Direct stationary solve of (I - P^T) pi = 0, pinned at one state.
 
     The solution is unique exactly when the chain has one closed class (a

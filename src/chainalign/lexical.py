@@ -5,9 +5,14 @@ pair of label sets.
 two strings. ``levenshtein_matrix`` gives the same distance for every
 pair of two label lists at once: the Wagner-Fischer recurrence (J. ACM,
 1974) run as one step per character of the left-hand labels, over all
-pairs together, in blocks of left-hand labels that keep each working
-array near 2^18 int32 cells. Its DP columns are the arrays' leading axis,
-so each column of a block is one contiguous row over all its pairs.
+pairs together, in blocks that keep each working array near 2^18 int32
+cells. Its DP columns are the arrays' leading axis, so each column of a
+block is one contiguous row over all its pairs. Given a cutoff K it
+returns min(distance, K + 1), Ukkonen's cut-off distance (Inf. & Control,
+1985): the bag distance of every pair (Bartolini, Ciaccia and Patella,
+SPIRE 2002), an exact lower bound on the edit distance computed from
+character counts as one matrix product, rules out the pairs past K, and
+only the rest run through the recurrence, as a list of pairs.
 ``label_distances`` normalizes two label lists and scores each distinct
 pair once through the matrix form. ``similarity_of_distance`` maps a
 distance L to a score sigma in (0, 1]:
@@ -20,6 +25,11 @@ distance L to a score sigma in (0, 1]:
 every pair of label sets it takes the least distance d between their
 labels and returns the edge-confidence weight 1/sigma(d) when
 sigma(d) >= ``gamma``, else 0, so its nonzero range is [1, 1/gamma].
+Since sigma falls strictly as L grows, only distances up to the cutoff K
+matter: the largest L, up to the longest label, with sigma(L) >= gamma
+(2 at the default gamma = 0.5). K is found by evaluating
+``similarity_of_distance`` itself, so it agrees with the weight test at
+every float gamma; every distance past K, given as K + 1, weighs 0.
 The weight is 1 exactly when d = 0, for every gamma in [0, 1], which is
 similarity flooding's rule: its pair graph keeps the weights equal to 1.
 Downstream row normalization decides how those raw weights are turned
@@ -34,6 +44,7 @@ from enum import Enum
 from typing import Collection, Sequence
 
 import numpy as np
+from scipy import sparse
 
 
 class LabelNorm(str, Enum):
@@ -82,7 +93,9 @@ def levenshtein(a: str, b: str) -> int:
     return previous[len(b)]
 
 
-# cells of the (longest b + 1, rows, len(b)) working array per block of rows of a
+# cells per block of each working array: the grid's (longest b + 1, rows,
+# len(b)) DP columns, a pair list's (longest b + 1, pairs) and the bag
+# bound's (rows, len(b)) and (tokens, rows)
 _BLOCK_CELLS = 1 << 18
 
 
@@ -97,49 +110,146 @@ def _code_points(labels: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     return points, lengths
 
 
-def levenshtein_matrix(a: Sequence[str], b: Sequence[str]) -> np.ndarray:
-    """``levenshtein(a[i], b[j])`` for every pair, as an int array of shape (len(a), len(b)).
+def _wagner_fischer(steps_a: np.ndarray, columns_b: np.ndarray):
+    """The Wagner-Fischer recurrence over a batch of label pairs.
 
-    The working arrays have shape (longest b + 1, rows, len(b)), so DP
-    column j of every pair in a block of left-hand labels is one
-    contiguous row. Step k, for character k of the left-hand labels, sets
-    column 0 to k, takes the deletion and substitution terms
-    min(prev[j] + 1, prev[j-1] + (a_k != b_j)) for all columns at once,
-    then adds the insertion term cur[j-1] + 1 column by column. Each
-    pair's distance is read after step len(a[i]) at column len(b[j]),
-    which depend on no padded character, so the padding value does not
-    matter.
+    ``steps_a[k - 1]`` holds character k of each pair's left-hand label and
+    ``columns_b[j - 1]`` character j of its right-hand one, both broadcast
+    to the batch's shape. After step k this yields k and the working array
+    whose entry [j, ...] is the distance from the first k characters of the
+    left-hand label to the first j of the right-hand one: DP column j of
+    every pair is one contiguous row. Step k sets column 0 to k, takes the
+    deletion and substitution terms min(prev[j] + 1, prev[j-1] + (a_k != b_j))
+    for all columns at once, then adds the insertion term cur[j-1] + 1
+    column by column. A pair's distance is read after step len(left) at
+    column len(right), which depend on no padded character, so the padding
+    value does not matter.
+    """
+    width = len(columns_b) + 1
+    shape = (width, *np.broadcast_shapes(steps_a.shape[1:], columns_b.shape[1:]))
+    prev = np.empty(shape, dtype=np.int32)
+    prev[:] = np.arange(width, dtype=np.int32).reshape((width,) + (1,) * (len(shape) - 1))
+    cur = np.empty_like(prev)
+    for k in range(1, len(steps_a) + 1):
+        # in place, as fresh temporaries this size cost more than the
+        # arithmetic; prev is overwritten in the next step anyway
+        cur[0] = k
+        np.not_equal(columns_b, steps_a[k - 1], out=cur[1:])
+        cur[1:] += prev[:-1]
+        prev += 1
+        np.minimum(cur[1:], prev[1:], out=cur[1:])
+        for j in range(1, width):
+            np.minimum(cur[j], cur[j - 1] + 1, out=cur[j])
+        prev, cur = cur, prev
+        yield k, prev
+
+
+def _grid_distances(points_a, len_a, points_b, len_b, out: np.ndarray) -> None:
+    """Every pair's distance into ``out``, in blocks of left-hand labels
+    whose working arrays (longest b + 1, rows, len(b)) keep near
+    ``_BLOCK_CELLS``."""
+    # character j of every b label, against DP column j + 1
+    columns_b = np.ascontiguousarray(points_b.T)[:, None, :]
+    pairs = np.arange(len(len_b))
+    block = max(1, _BLOCK_CELLS // (len(len_b) * (len(columns_b) + 1)))
+    for start in range(0, len(len_a), block):
+        rows_a = len_a[start:start + block]
+        dist = out[start:start + block]
+        dist[rows_a == 0] = len_b
+        steps_a = points_a[start:start + block, :rows_a.max()].T[:, :, None]
+        for k, column in _wagner_fischer(steps_a, columns_b):
+            done = np.flatnonzero(rows_a == k)
+            dist[done] = column[len_b, done[:, None], pairs]
+
+
+def _pair_distances(points_a, len_a, points_b, len_b, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The distance of left-hand label i[p] to right-hand label j[p], for
+    every p, in blocks of pairs whose working arrays keep near
+    ``_BLOCK_CELLS``."""
+    out = len_b[j].astype(np.int32)  # the distance from an empty label
+    width = int(out.max(initial=0)) + 1
+    block = max(1, _BLOCK_CELLS // width)
+    for start in range(0, len(out), block):
+        i_block, j_block = i[start:start + block], j[start:start + block]
+        rows_a, rows_b = len_a[i_block], len_b[j_block]
+        dist = out[start:start + block]
+        steps_a = points_a.T[:rows_a.max(), i_block]
+        for k, column in _wagner_fischer(steps_a, points_b.T[:width - 1, j_block]):
+            done = np.flatnonzero(rows_a == k)
+            dist[done] = column[rows_b[done], done]
+    return out
+
+
+def _character_tokens(points: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each label's characters as tokens it holds once: a label holding
+    code point c n times holds (c, 0) ... (c, n - 1). Returns each token's
+    label, in label order, and its key c * 2^32 + copy.
+
+    Two labels share sum_c min(cnt_a(c), cnt_b(c)) tokens, which is the
+    sum over t of [cnt_a(c) >= t] . [cnt_b(c) >= t].
+    """
+    # padding sorts first, then each label's equal code points side by side
+    ordered = np.sort(np.where(np.arange(points.shape[1]) < lengths[:, None], points, -1))
+    column = np.arange(ordered.shape[1])
+    first = np.ones(ordered.shape, dtype=bool)
+    first[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    copies = column - np.maximum.accumulate(np.where(first, column, 0), axis=1)
+    label, at = np.nonzero(ordered >= 0)
+    return label, ordered[label, at].astype(np.int64) << 32 | copies[label, at]
+
+
+def _bag_distances(points_a, len_a, points_b, len_b):
+    """The bag distance max(|a|, |b|) - sum_c min(cnt_a(c), cnt_b(c)) of
+    every pair, over code points c, as (first row, block of rows) in blocks
+    of left-hand labels whose arrays keep near ``_BLOCK_CELLS``.
+
+    It is |a| or |b| less the characters the two labels share, whichever
+    is larger. One edit changes each of those two counts by at most one,
+    and both are 0 once a has become b, so the bag distance never exceeds
+    the edit distance.
+    """
+    label_a, key_a = _character_tokens(points_a, len_a)
+    label_b, key_b = _character_tokens(points_b, len_b)
+    keys, token = np.unique(np.concatenate([key_a, key_b]), return_inverse=True)
+    token_a, token_b = token[:len(key_a)], token[len(key_a):]
+    # the right-hand labels' tokens as sparse rows, a block of left-hand
+    # labels' as dense columns: their product counts the tokens each pair shares
+    tokens_b = sparse.csr_matrix(
+        (np.ones(len(token_b), dtype=np.int32), token_b,
+         np.searchsorted(label_b, np.arange(len(len_b) + 1))), shape=(len(len_b), len(keys)))
+    block = max(1, _BLOCK_CELLS // max(len(len_b), len(keys)))
+    for start in range(0, len(len_a), block):
+        rows_a = len_a[start:start + block]
+        tokens_a = np.zeros((len(keys), len(rows_a)), dtype=np.int32)
+        held = slice(*np.searchsorted(label_a, [start, start + block]))
+        tokens_a[token_a[held], label_a[held] - start] = 1
+        yield start, np.maximum.outer(rows_a, len_b) - (tokens_b @ tokens_a).T
+
+
+def levenshtein_matrix(a: Sequence[str], b: Sequence[str],
+                       cutoff: int | None = None) -> np.ndarray:
+    """``levenshtein(a[i], b[j])`` for every pair, as an int array of shape
+    (len(a), len(b)); with ``cutoff``, min(distance, cutoff + 1).
+
+    Without a cutoff, or with one no less than the longest label, every
+    pair runs through the recurrence as one grid. Otherwise only the pairs
+    whose bag distance (``_bag_distances``), a lower bound, is at most the
+    cutoff run through it, as a pair list; the others get cutoff + 1.
     """
     out = np.empty((len(a), len(b)), dtype=np.int32)
     if not len(a) or not len(b):
         return out
+    points_a, len_a = _code_points(a)
     points_b, len_b = _code_points(b)
-    width = points_b.shape[1] + 1
-    # character j of every b label, against DP column j + 1
-    points_b = np.ascontiguousarray(points_b.T)[:, None, :]
-    pairs = np.arange(len(b))
-    block = max(1, _BLOCK_CELLS // (len(b) * width))
-    for start in range(0, len(a), block):
-        points_a, len_a = _code_points(a[start:start + block])
-        rows = len(len_a)
-        dist = out[start:start + rows]
-        dist[len_a == 0] = len_b
-        prev = np.empty((width, rows, len(b)), dtype=np.int32)
-        prev[:] = np.arange(width, dtype=np.int32)[:, None, None]
-        cur = np.empty_like(prev)
-        for k in range(1, points_a.shape[1] + 1):
-            # in place, as fresh temporaries this size cost more than the
-            # arithmetic; prev is overwritten in the next step anyway
-            cur[0] = k
-            np.not_equal(points_b, points_a[:, k - 1, None], out=cur[1:])
-            cur[1:] += prev[:-1]
-            prev += 1
-            np.minimum(cur[1:], prev[1:], out=cur[1:])
-            for j in range(1, width):
-                np.minimum(cur[j], cur[j - 1] + 1, out=cur[j])
-            prev, cur = cur, prev
-            done = np.flatnonzero(len_a == k)
-            dist[done] = prev[len_b, done[:, None], pairs]
+    if cutoff is None or cutoff >= max(len_a.max(), len_b.max()):
+        _grid_distances(points_a, len_a, points_b, len_b, out)
+        return out
+    for start, bound in _bag_distances(points_a, len_a, points_b, len_b):
+        i, j = np.nonzero(bound <= cutoff)
+        dist = out[start:start + len(bound)]
+        dist[:] = cutoff + 1
+        dist[i, j] = np.minimum(
+            _pair_distances(points_a, len_a, points_b, len_b, start + i, j), cutoff + 1)
     return out
 
 
@@ -154,10 +264,11 @@ def edit_similarity(a: str, b: str) -> float:
     return float(similarity_of_distance(levenshtein(a, b)))
 
 
-def _distinct(labels: list[str]) -> tuple[list[str], np.ndarray]:
-    """The distinct labels in first-seen order, and each label's index among them."""
+def _distinct(labels: Sequence[str], cfg: SimilarityConfig) -> tuple[list[str], np.ndarray]:
+    """The distinct normalized labels in first-seen order, and each label's
+    index among them."""
     ids: dict[str, int] = {}
-    inverse = [ids.setdefault(s, len(ids)) for s in labels]
+    inverse = [ids.setdefault(normalize_label(s, cfg), len(ids)) for s in labels]
     return list(ids), np.array(inverse, dtype=np.intp)
 
 
@@ -165,8 +276,8 @@ def label_distances(labels1: Sequence[str], labels2: Sequence[str],
                     cfg: SimilarityConfig) -> np.ndarray:
     """Edit distance between the normalized forms of every pair of labels,
     shape (len(labels1), len(labels2)); each distinct pair is scored once."""
-    distinct1, at1 = _distinct([normalize_label(s, cfg) for s in labels1])
-    distinct2, at2 = _distinct([normalize_label(s, cfg) for s in labels2])
+    distinct1, at1 = _distinct(labels1, cfg)
+    distinct2, at2 = _distinct(labels2, cfg)
     return levenshtein_matrix(distinct1, distinct2)[np.ix_(at1, at2)]
 
 
@@ -177,10 +288,20 @@ def label_set_weights(sets1: Sequence[Collection[str]], sets2: Sequence[Collecti
 
     A pair's weight depends only on the least edit distance d between
     their normalized labels, because sigma falls strictly as d grows:
-    1/sigma(d) when sigma(d) >= gamma, else 0.
+    1/sigma(d) when sigma(d) >= gamma, else 0. So distances matter only up
+    to the cutoff K, the largest d no longer than the longest label with
+    sigma(d) >= gamma, evaluated with ``similarity_of_distance`` so that
+    float boundaries such as gamma = 1/3 agree with the weight test.
+    ``levenshtein_matrix`` gives every longer distance as K + 1, whose
+    weight is 0 too, and runs the recurrence only on the label pairs whose
+    bag distance, a lower bound, is at most K. When K reaches the longest
+    label (gamma = 0, say), no pair can be ruled out.
     """
-    dist = label_distances([s for group in sets1 for s in group],
-                           [s for group in sets2 for s in group], cfg)
+    distinct1, at1 = _distinct([s for group in sets1 for s in group], cfg)
+    distinct2, at2 = _distinct([s for group in sets2 for s in group], cfg)
+    longest = max(map(len, distinct1 + distinct2), default=0)
+    cutoff = int(np.count_nonzero(similarity_of_distance(np.arange(longest + 1)) >= cfg.gamma)) - 1
+    dist = levenshtein_matrix(distinct1, distinct2, cutoff)[np.ix_(at1, at2)]
     # minimum over each set's rows, then over each set's columns
     starts1 = np.cumsum([0] + [len(group) for group in sets1[:-1]])
     starts2 = np.cumsum([0] + [len(group) for group in sets2[:-1]])

@@ -95,7 +95,7 @@ def align(
             pi0 = initial_distribution(g1, g2, sim_cfg)
         result = iterate(chain, pi0, solver_cfg)
     else:
-        result = steady_state(chain, solver_cfg)
+        result = steady_state(chain)
     metadata = {
         "gamma": sim_cfg.gamma,
         "label_normalization": sim_cfg.label_normalization.value,

@@ -2,26 +2,32 @@
 
 These deliberately take the slow, literal route: the edit distance is the
 plain recurrence (optionally memoized so longer strings stay tractable),
-one assignment oracle enumerates every injective row-to-column map and
-another runs shortest augmenting paths on one exact int cost per cell, the
-pair chain is scored one adjacency pair and one term pair at a time,
-closed classes come from plain reachability sets and the stationary
-distribution from a dense solve. Nothing here shares code with the
-package.
+the bag distance comes from character counters, one assignment oracle
+enumerates every injective row-to-column map and another runs shortest
+augmenting paths on one exact int cost per cell, the pair chain is scored
+one adjacency pair and one term pair at a time, closed classes come from
+plain reachability sets and the stationary distribution from a dense
+solve. Nothing here shares code with the package, but for the one
+oracle noted below.
 
-The last two are the package's earlier scipy constructions, kept as
-array-for-array references for the ones that replaced them: normalization
-followed by damping as two sparse stages, and power iteration as
-``pi @ P``.
+The last three are the package's earlier constructions, kept as
+array-for-array references for the ones that replaced them: the
+label-set weights from the distance of every label pair (it calls the
+package's full-matrix kernel, which is itself checked against the
+recurrence here), normalization followed by damping as two sparse
+stages, and power iteration as ``pi @ P``.
 """
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 from scipy import sparse
+
+from chainalign.lexical import label_distances, similarity_of_distance
 
 
 def levenshtein_recursive(a: str, b: str) -> int:
@@ -61,6 +67,13 @@ def levenshtein_memoized(a: str, b: str) -> int:
     result = rec(len(a), len(b))
     rec.cache_clear()
     return result
+
+
+
+def bag_distance(a: str, b: str) -> int:
+    """The longer string's length less the characters both hold, each
+    counted as often as the string holding it fewer times holds it."""
+    return max(len(a), len(b)) - sum((Counter(a) & Counter(b)).values())
 
 
 def brute_force_assignment(matrix) -> tuple[list[tuple[int, int]], Fraction]:
@@ -333,6 +346,21 @@ def lexical_start(g1, g2, fold: bool) -> np.ndarray:
     if total <= 0.0:
         return np.full(len(values), 1.0 / len(values))
     return values / total
+
+
+
+def label_set_weights_full(sets1, sets2, cfg) -> np.ndarray:
+    """Edge-confidence weight of every pair of label sets from the edit
+    distance of every pair of their labels: the least distance d over each
+    pair of sets, weighted 1/sigma(d) when sigma(d) >= gamma, else 0."""
+    dist = label_distances([s for group in sets1 for s in group],
+                           [s for group in sets2 for s in group], cfg)
+    # minimum over each set's rows, then over each set's columns
+    starts1 = np.cumsum([0] + [len(group) for group in sets1[:-1]])
+    starts2 = np.cumsum([0] + [len(group) for group in sets2[:-1]])
+    dist = np.minimum.reduceat(np.minimum.reduceat(dist, starts1, axis=0), starts2, axis=1)
+    sigma = similarity_of_distance(dist)
+    return np.where(sigma >= cfg.gamma, 1.0 / sigma, 0.0)
 
 
 def normalize_then_damp(matrix, norm_mode: str, a: float) -> sparse.csr_matrix:

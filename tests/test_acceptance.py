@@ -160,7 +160,7 @@ def test_c04_solver_agreement():
         damped = ergodic_transform(chain, 0.85)
         pi0 = np.full(n, 1.0 / n)
         it = iterate(damped, pi0, cfg)
-        ss = steady_state(damped, cfg)
+        ss = steady_state(damped)
         assert it.converged
         assert np.max(np.abs(it.distribution - ss.distribution)) < 1e-6
     elapsed = time.perf_counter() - start

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from unittest import mock
 
@@ -13,13 +14,19 @@ from chainalign.lexical import (
     SimilarityConfig,
     edit_similarity,
     label_set_confidence,
+    label_set_weights,
     labels_share_exact_match,
     levenshtein,
     levenshtein_matrix,
     normalize_label,
 )
 
-from oracles import levenshtein_memoized, levenshtein_recursive
+from oracles import (
+    bag_distance,
+    label_set_weights_full,
+    levenshtein_memoized,
+    levenshtein_recursive,
+)
 
 short_text = st.text(alphabet="abcxyz_- ", max_size=8)
 
@@ -131,6 +138,95 @@ class TestLevenshteinMatrix:
             got = levenshtein_matrix(a, b)
         assert got.dtype == np.int32
         assert got.tolist() == [[levenshtein(x, y) for y in b] for x in a]
+
+
+class TestCutoff:
+    """``levenshtein_matrix`` with a cutoff, and the label-set weights that
+    use it, against the full distance of every pair."""
+
+    # short labels over few letters, so that many pairs lie within a small
+    # cutoff; NUL equals the padding value, a lone surrogate is its own
+    # code point
+    near_labels = st.lists(st.text(alphabet="abé\x00\ud800", max_size=12), min_size=1, max_size=6)
+
+    @settings(max_examples=80, deadline=None)
+    @given(near_labels, near_labels)
+    @example(["ab", "abcdef", ""], ["ba", "abdcfe", "\x00"])  # anagrams: bag 0
+    def test_bag_distance_bounds_edit_distance(self, a, b):
+        bound = np.vstack([block for _, block in lexical._bag_distances(
+            *lexical._code_points(a), *lexical._code_points(b))])
+        assert bound.tolist() == [[bag_distance(x, y) for y in b] for x in a]
+        assert all(bag_distance(x, y) <= levenshtein_memoized(x, y) for x in a for y in b)
+
+    @settings(max_examples=80, deadline=None)
+    @given(near_labels, near_labels, st.integers(0, 13), st.integers(1, 1 << 9))
+    @example(["ab", "abcdef", "é" * 12], ["ba", "abdcfe", "éaé"], 2, 1)
+    def test_caps_scalar_levenshtein(self, a, b, cutoff, block_cells):
+        # a small block spreads the bag bound and the pair list over
+        # several blocks
+        with mock.patch.object(lexical, "_BLOCK_CELLS", block_cells):
+            got = levenshtein_matrix(a, b, cutoff)
+        assert got.dtype == np.int32
+        assert got.tolist() == [[min(levenshtein(x, y), cutoff + 1) for y in b] for x in a]
+
+    def test_pairs_past_the_cutoff_never_reach_the_recurrence(self):
+        a = ["abcdef", "ghijkl", "abcdeg", "fedcba"]
+        b = ["abcdef", "zzzzzzzz", "bacdef"]
+        near = [(i, j) for i, x in enumerate(a) for j, y in enumerate(b) if bag_distance(x, y) <= 2]
+        assert near == [(0, 0), (0, 2), (2, 0), (2, 2), (3, 0), (3, 2)]
+        with mock.patch.object(lexical, "_wagner_fischer", wraps=lexical._wagner_fischer) as dp:
+            got = levenshtein_matrix(a, b, 2)
+        (call,) = dp.call_args_list
+        steps_a, columns_b = call.args
+        assert steps_a.shape == (6, len(near)) and columns_b.shape == (6, len(near))
+        assert got.tolist() == [[min(levenshtein(x, y), 3) for y in b] for x in a]
+
+    def test_cutoff_reaching_the_longest_label_runs_one_grid(self):
+        a, b = ["abc", "x"], ["cba", "", "xyz"]
+        with mock.patch.object(lexical, "_bag_distances") as bound:
+            got = levenshtein_matrix(a, b, 3)
+        assert bound.call_count == 0
+        assert got.tolist() == [[levenshtein(x, y) for y in b] for x in a]
+
+    gammas = st.one_of(
+        st.sampled_from([0.0, 0.25, 1 / 3, 0.5, math.nextafter(0.5, 1), 0.75,
+                         math.nextafter(0.75, 1), 1.0]),
+        st.floats(0.0, 1.0))
+    # "_- " folds away, so a label can be empty after folding; "ß" folds to
+    # "ss"; repeated letters and anagrams come from the small alphabet
+    set_labels = st.text(alphabet="abAB_- é字ß\ud800\U0010ffff", max_size=9)
+    label_sets = st.lists(st.frozensets(set_labels, min_size=1, max_size=3),
+                          min_size=1, max_size=6)
+
+    @settings(max_examples=100, deadline=None)
+    @given(label_sets, label_sets, gammas, st.sampled_from(list(LabelNorm)),
+           st.integers(1, 1 << 9))
+    @example([frozenset({"abcd"}), frozenset({"ba", "_-"})],
+             [frozenset({"abdc"}), frozenset({"AB"})], 0.5, LabelNorm.FOLD, 1 << 18)
+    # distance 3 and bag 3: weight 3 at gamma = 1/3 (K = 3), 0 just above (K = 2)
+    @example([frozenset({"abcdef"})], [frozenset({"abcxyz"})], 1 / 3, LabelNorm.NONE, 1 << 18)
+    @example([frozenset({"abcdef"})], [frozenset({"abcxyz"})], math.nextafter(1 / 3, 1),
+             LabelNorm.NONE, 1 << 18)
+    def test_label_set_weights_match_full_matrix(self, sets1, sets2, gamma, norm, block_cells):
+        cfg = SimilarityConfig(gamma=gamma, label_normalization=norm)
+        expected = label_set_weights_full(sets1, sets2, cfg)
+        with mock.patch.object(lexical, "_BLOCK_CELLS", block_cells):
+            got = label_set_weights(sets1, sets2, cfg)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert (got == expected).all()
+
+    def test_label_set_weights_over_several_blocks(self):
+        rng = random.Random(31)
+
+        def label():
+            return "".join(rng.choices("abcdef", k=rng.randrange(1, 10)))
+
+        sets1 = [frozenset(label() for _ in range(rng.randrange(1, 3))) for _ in range(900)]
+        sets2 = [frozenset({label()}) for _ in range(500)]
+        distinct = [len({s for group in sets for s in group}) for sets in (sets1, sets2)]
+        assert distinct[0] * distinct[1] > lexical._BLOCK_CELLS  # two bag-bound blocks or more
+        cfg = SimilarityConfig()
+        assert (label_set_weights(sets1, sets2, cfg) == label_set_weights_full(sets1, sets2, cfg)).all()
 
 
 class TestEditSimilarity:
