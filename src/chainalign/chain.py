@@ -123,7 +123,7 @@ class SolverConfig:
             raise ValueError(f"chain_mode must be one of {CHAIN_MODES}, got {self.chain_mode!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PairwiseChain:
     """Transition matrix over pair states, held as one CSR matrix.
 

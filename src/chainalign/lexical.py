@@ -100,9 +100,10 @@ _BLOCK_CELLS = 1 << 18
 
 
 def _code_points(labels: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Code points of each label, right-padded with zeros, and the lengths."""
+    """Code points of each label, right-padded with -1, which is no code
+    point, and the lengths."""
     lengths = np.array([len(s) for s in labels], dtype=np.int64)
-    points = np.zeros((len(labels), int(lengths.max(initial=0))), dtype=np.int32)
+    points = np.full((len(labels), int(lengths.max(initial=0))), -1, dtype=np.int32)
     # row-major fill of each row's first len(s) cells; surrogatepass keeps a
     # lone surrogate as its own code point, as ord() does
     points[np.arange(points.shape[1]) < lengths[:, None]] = np.frombuffer(
@@ -180,16 +181,17 @@ def _pair_distances(points_a, len_a, points_b, len_b, i: np.ndarray, j: np.ndarr
     return out
 
 
-def _character_tokens(points: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each label's characters as tokens it holds once: a label holding
-    code point c n times holds (c, 0) ... (c, n - 1). Returns each token's
-    label, in label order, and its key c * 2^32 + copy.
+def _character_tokens(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each label's characters, as ``_code_points`` pads them, as tokens it
+    holds once: a label holding code point c n times holds (c, 0) ...
+    (c, n - 1). Returns each token's label, in label order, and its key
+    c * 2^32 + copy.
 
     Two labels share sum_c min(cnt_a(c), cnt_b(c)) tokens, which is the
     sum over t of [cnt_a(c) >= t] . [cnt_b(c) >= t].
     """
-    # padding sorts first, then each label's equal code points side by side
-    ordered = np.sort(np.where(np.arange(points.shape[1]) < lengths[:, None], points, -1))
+    # padding (-1) sorts first, then each label's equal code points side by side
+    ordered = np.sort(points)
     column = np.arange(ordered.shape[1])
     first = np.ones(ordered.shape, dtype=bool)
     first[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
@@ -208,8 +210,8 @@ def _bag_distances(points_a, len_a, points_b, len_b):
     and both are 0 once a has become b, so the bag distance never exceeds
     the edit distance.
     """
-    label_a, key_a = _character_tokens(points_a, len_a)
-    label_b, key_b = _character_tokens(points_b, len_b)
+    label_a, key_a = _character_tokens(points_a)
+    label_b, key_b = _character_tokens(points_b)
     keys, token = np.unique(np.concatenate([key_a, key_b]), return_inverse=True)
     token_a, token_b = token[:len(key_a)], token[len(key_a):]
     # the right-hand labels' tokens as sparse rows, a block of left-hand

@@ -164,25 +164,22 @@ def _lexicographic_matching(tight: np.ndarray, match: np.ndarray, m: int) -> Non
     """Turn ``match`` into the lexicographically smallest perfect matching
     of the tight subgraph, fixing rows 0..m-1 in turn (in place).
 
-    An edge lies on some perfect matching exactly when it is matched or
-    both rows share a strongly connected component of the graph with an
-    arc i -> k for each tight edge (i, match[k]); the rest are pruned.
-    Row i then takes the smallest allowed free column c whose current
-    owner reaches i along allowed arcs, found by one backward search, and
-    the rows on that alternating cycle each take their successor's column.
+    Row i may take a free tight column c exactly when c's current owner
+    reaches i along tight arcs (r -> k when r may take k's column) among
+    the rows not yet fixed: that path and the edge (i, c) close an
+    alternating cycle of tight edges, so turning it keeps the matching
+    perfect and optimal. Row i takes the smallest such column, found by one
+    backward search from i, and the rows on the cycle each take their
+    successor's column. A tight edge on no maximum-weight matching closes
+    no such cycle, so the search never takes it.
     """
-    from scipy.sparse.csgraph import connected_components
-
     size = len(match)
-    if np.count_nonzero(tight) == size:  # only the matched edges are tight
-        return
-    _, comp = connected_components(tight, directed=True, connection="strong")
-    allowed = np.empty_like(tight)
-    allowed[:, match] = tight & (comp[:, None] == comp[None, :])
+    allowed = np.empty_like(tight)  # allowed[i, c]: row i may take column c
+    allowed[:, match] = tight
     owner = np.empty(size, dtype=int)
     owner[match] = np.arange(size)
     free = np.ones(size, dtype=bool)
-    # a row with one allowed column keeps it, and no other row may take it
+    # a row whose only tight column is its own keeps it: it reaches no other row
     for i in np.flatnonzero(np.count_nonzero(allowed[:m], axis=1) > 1):
         options = allowed[i] & free
         if options.argmax() != match[i]:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 HIERARCHY_LABEL = "subClassOf"
@@ -73,22 +74,15 @@ class OntologyGraph:
     adjacency: dict[tuple[str, str], set[str]] = field(init=False, default_factory=dict)
 
     def __post_init__(self):
-        seen: set[tuple[str, str, str]] = set()
-        deduped = []
+        self.edges = list(dict.fromkeys(self.edges))
         for e in self.edges:
             if e.source not in self.terms:
                 raise OntologyError(f"edge references unknown term {e.source!r}")
             if e.target not in self.terms:
                 raise OntologyError(f"edge references unknown term {e.target!r}")
-            key = (e.source, e.target, e.label)
-            if key in seen:
-                continue
-            seen.add(key)
-            deduped.append(e)
             self.adjacency.setdefault((e.source, e.target), set()).add(e.label)
-        self.edges = deduped
 
-    @property
+    @cached_property
     def term_ids(self) -> list[str]:
         """Term ids in the canonical (sorted) order used for matrix layouts."""
         return sorted(self.terms)
@@ -178,7 +172,7 @@ def _load_triples(text: str, name: str) -> OntologyGraph:
         for tid in (subj, obj):
             terms.setdefault(tid, Term(id=tid, label=tid))
         edges.append(LabeledEdge(source=subj, target=obj, label=pred))
-    return _make_graph(list(terms.values()), edges)
+    return OntologyGraph(terms=terms, edges=edges)
 
 
 def is_json_path(path: str | Path) -> bool:

@@ -41,7 +41,9 @@ def build_shared(
     sim_cfg: SimilarityConfig,
     solver_cfg: SolverConfig,
 ) -> SharedBuild:
-    """Build the raw edge-confidence chain, and pi0 when the method is iterative."""
+    """Build the raw edge-confidence chain, and pi0 when the method is
+    iterative: the one place that decides which inputs a solve needs.
+    ``align`` calls it when not handed a ``SharedBuild``."""
     chain = build_upmc(g1, g2, sim_cfg)
     pi0 = None
     if solver_cfg.method == METHOD_ITERATIVE:
@@ -83,17 +85,19 @@ def align(
 
     The damping transform is always applied before solving (with the
     default a = 0.85) so that periodic pair graphs still converge; set
-    ``damping_a`` to 1 to skip it. ``shared`` (see ``build_shared``)
-    supplies the raw chain and pi0 instead of building them.
+    ``damping_a`` to 1 to skip it. The raw chain and pi0 come from
+    ``shared``, built by ``build_shared`` for the same ontologies,
+    ``sim_cfg`` and solver method; without it, ``build_shared`` is called
+    here.
     """
     sim_cfg = sim_cfg or SimilarityConfig()
     solver_cfg = solver_cfg or SolverConfig()
+    shared = shared or build_shared(g1, g2, sim_cfg, solver_cfg)
     chain = build_chain(g1, g2, sim_cfg, solver_cfg, shared=shared)
     if solver_cfg.method == METHOD_ITERATIVE:
-        pi0 = shared.pi0 if shared is not None else None
-        if pi0 is None:
-            pi0 = initial_distribution(g1, g2, sim_cfg)
-        result = iterate(chain, pi0, solver_cfg)
+        if shared.pi0 is None:
+            raise ValueError("shared has no pi0: build it for the iterative method")
+        result = iterate(chain, shared.pi0, solver_cfg)
     else:
         result = steady_state(chain)
     metadata = {

@@ -398,8 +398,9 @@ class TestSteadyState:
         assert out.stdout.strip() == "False"
 
     def test_import_leaves_assignment_modules_unloaded(self):
-        # hungarian_max imports scipy.optimize and scipy.sparse.csgraph
-        # itself: scipy.optimize alone adds 0.2-0.4 s to start-up
+        # hungarian_max imports scipy.optimize and steady_state
+        # scipy.sparse.csgraph on first use: scipy.optimize alone adds
+        # 0.2-0.4 s to start-up
         src = str(Path(chainalign.__file__).resolve().parents[1])
         out = subprocess.run(
             [sys.executable, "-c",

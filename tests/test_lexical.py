@@ -123,8 +123,8 @@ class TestLevenshteinMatrix:
         assert len(a) > 2 * rows_per_block
         assert levenshtein_matrix(a, b).tolist() == oracle_matrix(a, b)
 
-    # NUL equals the kernel's padding value; a lone surrogate is a code point
-    # of its own
+    # NUL is a code point like any other (the kernel pads with -1); a lone
+    # surrogate is a code point of its own
     kernel_labels = st.lists(st.text(alphabet="ab_é字ß\x00\ud800\U0010ffff", max_size=70),
                              max_size=6)
 
@@ -145,8 +145,8 @@ class TestCutoff:
     use it, against the full distance of every pair."""
 
     # short labels over few letters, so that many pairs lie within a small
-    # cutoff; NUL equals the padding value, a lone surrogate is its own
-    # code point
+    # cutoff; NUL (code point 0) sorts just after the padding value -1, a
+    # lone surrogate is its own code point
     near_labels = st.lists(st.text(alphabet="abé\x00\ud800", max_size=12), min_size=1, max_size=6)
 
     @settings(max_examples=80, deadline=None)

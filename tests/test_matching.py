@@ -130,6 +130,24 @@ class TestHungarianMax:
         pairs = hungarian_max(np.array([[1.0], [1.0]]))
         assert pairs == [(0, 0)]
 
+    def test_tight_edge_on_no_optimum_is_rejected(self):
+        # (1, 1) is tight under the optimal duals but lies on no maximum-
+        # weight matching: row 2 scores only in column 1. Row 1 must not take
+        # it, though it is the smaller of row 1's two tight columns.
+        mat = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 0.0]])
+        tights = []
+
+        def spy(weight, match, pot):
+            tight = exact_duals(weight, match, pot)
+            tights.append(tight[:, np.argsort(match)])  # indexed by column
+            return tight
+
+        exact_duals = matching._exact_duals
+        with mock.patch.object(matching, "_exact_duals", spy):
+            pairs = hungarian_max(mat)
+        assert tights[0][1, 1]
+        assert pairs == lexicographic_assignment(mat.tolist()) == [(0, 0), (1, 2), (2, 1)]
+
     def test_matches_brute_force_on_seeded_matrices(self):
         rng = random.Random(77)
         for _ in range(150):

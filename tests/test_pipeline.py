@@ -8,7 +8,7 @@ import pytest
 
 from chainalign.chain import PairwiseChain, SolverConfig
 from chainalign.lexical import SimilarityConfig
-from chainalign.pipeline import align, build_chain
+from chainalign.pipeline import align, build_chain, build_shared
 
 ALL_SETTINGS = [
     (method, mode)
@@ -47,6 +47,13 @@ class TestAlignMetadata:
         alignment, result = align(birds, birds)
         assert alignment.metadata["iterations"] == result.iterations
         assert alignment.metadata["converged"] is True
+
+
+class TestSharedBuild:
+    def test_iterative_align_rejects_a_build_without_pi0(self, birds):
+        shared = build_shared(birds, birds, SimilarityConfig(), SolverConfig(method="steady-state"))
+        with pytest.raises(ValueError, match="no pi0"):
+            align(birds, birds, shared=shared)
 
 
 class TestBuildChain:
