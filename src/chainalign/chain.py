@@ -11,12 +11,13 @@ closest label pair across the two label sets (``lexical.label_set_weights``,
 computed once per pair of label sets); ``build_upmc`` spreads those
 weights over the adjacency entries that carry the sets by sparse indexing.
 
-The two chain modes share that build. ``edge-confidence`` uses the chain
-as built. ``baseline-sf``, the pairwise connectivity graph of plain
-similarity flooding, admits a transition with weight 1 only when the
-label sets share an identical (normalized) label; an edge-confidence
-weight is 1.0 exactly then, so ``exact_matches`` reads the baseline-sf
-chain off the edge-confidence one.
+The two chain modes share that build, and ``pipeline.build_chain`` takes
+it to either one. ``edge-confidence`` uses the chain as built.
+``baseline-sf``, the pairwise connectivity graph of plain similarity
+flooding, admits a transition with weight 1 only when the label sets
+share an identical (normalized) label; an edge-confidence weight is 1.0
+exactly then, so ``exact_matches`` reads the baseline-sf chain off the
+edge-confidence one.
 
 Row normalization turns the raw weights into a row-stochastic matrix.
 Two readings of that step are implemented. Both treat the stored weight
@@ -47,14 +48,14 @@ already stochastic chain through the same helper.
 
 The stationary distribution comes from either power iteration from the
 lexical initial distribution, or a direct sparse LU solve of
-(I - P^T) pi = 0. Power iteration multiplies by the transposed matrix,
-built once per solve. The direct solve requires a unique stationary
-distribution, which holds exactly when the pair graph has one closed
-class; it counts the closed classes first and raises ``SolverError`` on
-more than one (power iteration still answers such chains). It then pins
-pi to 1 at the closed class's first state r and solves the other n - 1
-equations for the other n - 1 entries, a system that keeps the sparsity
-of P; pi is normalized afterwards.
+(I - P^T) pi = 0. Both solvers read P^T as ``P.T``, a CSC matrix over
+P's own CSR arrays, which copies nothing. The direct solve requires a
+unique stationary distribution, which holds exactly when the pair graph
+has one closed class; it counts the closed classes first and raises
+``SolverError`` on more than one (power iteration still answers such
+chains). It then pins pi to 1 at the closed class's first state r and
+solves the other n - 1 equations for the other n - 1 entries, a system
+that keeps the sparsity of P; pi is normalized afterwards.
 """
 from __future__ import annotations
 
@@ -99,6 +100,16 @@ class SolverError(RuntimeError):
     """The stationary system could not be solved as posed."""
 
 
+def _check_damping(a: float) -> None:
+    if not 0.0 < a <= 1.0:
+        raise ValueError(f"damping_a must lie in (0, 1], got {a}")
+
+
+def _check_norm_mode(norm_mode: str) -> None:
+    if norm_mode not in NORM_MODES:
+        raise ValueError(f"norm_mode must be one of {NORM_MODES}, got {norm_mode!r}")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     epsilon: float = 1e-9
@@ -113,12 +124,10 @@ class SolverConfig:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if not isinstance(self.max_iters, int) or self.max_iters < 1:
             raise ValueError(f"max_iters must be a positive integer, got {self.max_iters!r}")
-        if not 0.0 < self.damping_a <= 1.0:
-            raise ValueError(f"damping_a must lie in (0, 1], got {self.damping_a}")
+        _check_damping(self.damping_a)
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.norm_mode not in NORM_MODES:
-            raise ValueError(f"norm_mode must be one of {NORM_MODES}, got {self.norm_mode!r}")
+        _check_norm_mode(self.norm_mode)
         if self.chain_mode not in CHAIN_MODES:
             raise ValueError(f"chain_mode must be one of {CHAIN_MODES}, got {self.chain_mode!r}")
 
@@ -253,8 +262,7 @@ def normalize(chain: PairwiseChain, norm_mode: str = NORM_COMPLEMENT,
     """
     if chain.stochastic:
         raise ValueError("chain is already stochastic")
-    if norm_mode not in NORM_MODES:
-        raise ValueError(f"norm_mode must be one of {NORM_MODES}, got {norm_mode!r}")
+    _check_norm_mode(norm_mode)
     _check_damping(a)
     m = chain.matrix
     p = sparse.csr_matrix((_shares(m, norm_mode), m.indices, m.indptr), shape=m.shape)
@@ -273,11 +281,6 @@ def _shares(m: sparse.csr_matrix, norm_mode: str) -> np.ndarray:
     temp = np.bincount(rows, d, n)[rows] - d
     temp[counts[rows] == 1] = 1.0
     return temp / np.bincount(rows, temp, n)[rows]
-
-
-def _check_damping(a: float) -> None:
-    if not 0.0 < a <= 1.0:
-        raise ValueError(f"a must lie in (0, 1], got {a}")
 
 
 def _damped(p: sparse.csr_matrix, a: float, loops: np.ndarray) -> sparse.csr_matrix:
@@ -311,7 +314,9 @@ def initial_distribution(
 
 
 def iterate(chain: PairwiseChain, pi0: np.ndarray, cfg: SolverConfig | None = None) -> SolveResult:
-    """Power iteration pi_t = pi_{t-1} P until the max-norm step falls under epsilon."""
+    """Power iteration pi_t = pi_{t-1} P until the max-norm step falls under
+    epsilon. On a damped chain aP + (1-a)I that step is a(pi P - pi), so the
+    undamped residual max|pi P - pi| may reach epsilon / a when it stops."""
     cfg = cfg or SolverConfig()
     if not chain.stochastic:
         raise ValueError("iterate requires a stochastic chain")
@@ -321,10 +326,11 @@ def iterate(chain: PairwiseChain, pi0: np.ndarray, cfg: SolverConfig | None = No
     if not np.isfinite(pi).all() or pi.min() < 0 or pi.sum() <= 0:
         raise ValueError("pi0 must be a finite non-negative vector with positive mass")
     pi = pi / pi.sum()
-    # pi P as P^T pi, on a transpose built once: pi @ P transposes P on
-    # every step. Both add each column's terms in row order, so the floats
-    # are the same.
-    transposed = chain.matrix.T.tocsr()
+    # pi P as P^T pi, where P.T is a CSC matrix over P's own arrays, no
+    # copy. scipy's CSC matvec sums each entry from 0.0 in increasing row
+    # of P, as the CSR matvec of a transposed copy and pi @ P do, so the
+    # floats are the same.
+    transposed = chain.matrix.T
     iterations = 0
     converged = False
     for iterations in range(1, cfg.max_iters + 1):
@@ -379,9 +385,8 @@ def steady_state(chain: PairwiseChain) -> SolveResult:
         )
     r = int(np.argmin(left[labels]))
     keep = np.arange(n) != r
-    # P's CSR arrays, read as CSC, are P^T; subtracting drops the 0.0 entries
-    transposed = sparse.csc_matrix((m.data, m.indices, m.indptr), shape=m.shape)
-    system = (sparse.identity(n, format="csc") - transposed)[keep][:, keep]
+    # subtracting drops the 0.0 entries
+    system = (sparse.identity(n, format="csc") - m.T)[keep][:, keep]
     try:
         pinned = splu(system, options=dict(SymmetricMode=True)).solve(m[r].toarray()[0, keep])
     except RuntimeError as exc:  # a weight too small to register against 1

@@ -37,6 +37,7 @@ from .chain import (
     NORM_MODES,
     SolverConfig,
     SolverError,
+    build_upmc,
     dump_triplets,
 )
 from .evaluation import (
@@ -286,7 +287,8 @@ def _cmd_dump_chain(args) -> int:
     _check_outputs(args.output)
     g1 = load_ontology(args.ontology1)
     g2 = load_ontology(args.ontology2)
-    chain = build_chain(g1, g2, cfg.sim_config(), replace(cfg.solver_config(), damping_a=1.0))
+    raw = build_upmc(g1, g2, cfg.sim_config())
+    chain = build_chain(raw, replace(cfg.solver_config(), damping_a=1.0))
     _emit(dump_triplets(chain), args.output)
     return EXIT_OK
 

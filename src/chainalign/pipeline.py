@@ -51,25 +51,13 @@ def build_shared(
     return SharedBuild(chain, pi0)
 
 
-def build_chain(
-    g1: OntologyGraph,
-    g2: OntologyGraph,
-    sim_cfg: SimilarityConfig,
-    solver_cfg: SolverConfig,
-    *,
-    shared: SharedBuild | None = None,
-) -> PairwiseChain:
-    """Construct, normalize and damp the pairwise chain (``damping_a`` 1
-    leaves it undamped).
-
-    The raw chain is the edge-confidence one, taken from ``shared`` (built
-    from the same ontologies and ``sim_cfg``) when given; baseline-sf keeps
-    its entries of weight 1 (``exact_matches``).
-    """
-    chain = shared.edge_confidence if shared is not None else build_upmc(g1, g2, sim_cfg)
+def build_chain(raw: PairwiseChain, solver_cfg: SolverConfig) -> PairwiseChain:
+    """Normalize and damp a raw edge-confidence chain (``damping_a`` 1
+    leaves it undamped); baseline-sf keeps its entries of weight 1
+    (``exact_matches``)."""
     if solver_cfg.chain_mode == BASELINE_SF:
-        chain = exact_matches(chain)
-    return normalize(chain, solver_cfg.norm_mode, solver_cfg.damping_a)
+        raw = exact_matches(raw)
+    return normalize(raw, solver_cfg.norm_mode, solver_cfg.damping_a)
 
 
 def align(
@@ -93,7 +81,7 @@ def align(
     sim_cfg = sim_cfg or SimilarityConfig()
     solver_cfg = solver_cfg or SolverConfig()
     shared = shared or build_shared(g1, g2, sim_cfg, solver_cfg)
-    chain = build_chain(g1, g2, sim_cfg, solver_cfg, shared=shared)
+    chain = build_chain(shared.edge_confidence, solver_cfg)
     if solver_cfg.method == METHOD_ITERATIVE:
         if shared.pi0 is None:
             raise ValueError("shared has no pi0: build it for the iterative method")

@@ -249,6 +249,27 @@ class TestSolverConfig:
         with pytest.raises(ValueError, match="max_iters must be a positive integer"):
             SolverConfig(max_iters=max_iters)
 
+    @pytest.mark.parametrize("field, value", [
+        ("damping_a", 0.0), ("damping_a", 1.5), ("method", "exact"),
+        ("norm_mode", "softmax"), ("chain_mode", "sf"),
+    ])
+    def test_bad_setting_rejected(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must .*, got {value!r}$"):
+            SolverConfig(**{field: value})
+
+    def test_damping_and_norm_mode_checks_are_shared(self):
+        raw = dense_chain([[0, 1], [1, 0]], stochastic=False)
+
+        def message(call, *args, **kwargs):
+            with pytest.raises(ValueError) as info:
+                call(*args, **kwargs)
+            return str(info.value)
+
+        damping = message(SolverConfig, damping_a=1.5)
+        assert damping == message(normalize, raw, "complement", 1.5)
+        assert damping == message(ergodic_transform, normalize(raw), 1.5)
+        assert message(SolverConfig, norm_mode="softmax") == message(normalize, raw, "softmax")
+
 
 class TestIterate:
     def test_identity_chain_returns_pi0_after_one_step(self):
@@ -527,6 +548,11 @@ class TestChainValidation:
         with pytest.raises(ValueError, match="out of range"):
             chain_from_rows([[(1, 1.0)]], stochastic=True)
 
+    @pytest.mark.parametrize("matrix", [np.eye(2), sparse.csc_matrix(np.eye(2))])
+    def test_non_csr_matrix_rejected(self, matrix):
+        with pytest.raises(ValueError, match="must be a scipy.sparse.csr_matrix, got"):
+            PairwiseChain(matrix)
+
     def test_non_square_matrix_rejected(self):
         with pytest.raises(ValueError, match="square"):
             PairwiseChain(sparse.csr_matrix(np.ones((2, 3))))
@@ -634,7 +660,7 @@ class TestPairwiseOracle:
         for mode in (EDGE_CONFIDENCE, BASELINE_SF):
             with mock.patch.object(lexical, "levenshtein_matrix",
                                    wraps=lexical.levenshtein_matrix) as kernel:
-                build_chain(birds, zoo, SimilarityConfig(), SolverConfig(chain_mode=mode))
+                build_chain(build_upmc(birds, zoo), SolverConfig(chain_mode=mode))
             calls[mode] = kernel.call_count
         assert calls == {EDGE_CONFIDENCE: 1, BASELINE_SF: 1}
 

@@ -425,6 +425,12 @@ class TestMalformedInputs:
         assert code == 2
         assert "epsilon" in err
 
+    def test_zero_damping_exits_2(self, capsys):
+        code, out, err = run(capsys, "align", BIRDS, BIRDS, "--damping", "0")
+        assert code == 2
+        assert out == ""
+        assert "damping_a must lie in (0, 1], got 0.0" in err
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-0.5", "7"])
     def test_min_confidence_outside_unit_interval_exits_2(self, capsys, value):
         code, out, err = run(capsys, "align", BIRDS, BIRDS, "--min-confidence", value)
@@ -451,6 +457,24 @@ class TestMalformedInputs:
         assert code == 2
         assert out == ""
         assert key in err
+        assert "missing.json" not in err
+
+    @pytest.mark.parametrize("text, message", [
+        (None, "No such file"),
+        ("{gamma: 0.5}", "Expecting property name"),
+        ("[0.5]", "expected a JSON object"),
+    ], ids=["missing", "not-json", "not-an-object"])
+    def test_unusable_config_file_exits_2_before_any_input_is_read(
+        self, capsys, tmp_path, text, message
+    ):
+        config = tmp_path / "cfg.json"
+        if text is not None:
+            config.write_text(text, encoding="utf-8")
+        missing = str(tmp_path / "missing.json")
+        code, out, err = run(capsys, "align", missing, missing, "--config", str(config))
+        assert code == 2
+        assert out == ""
+        assert f"config file {config}: " in err and message in err
         assert "missing.json" not in err
 
     def test_directory_as_output_exits_2(self, capsys, tmp_path):

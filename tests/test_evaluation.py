@@ -332,6 +332,11 @@ class TestReferenceIO:
         )
         assert load_reference(path).pairs == frozenset({("a", "x")})
 
+    def test_comment_and_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "ref.tsv"
+        path.write_text("# source\ttarget\n\na\tx\n  \n#b\ty\n", encoding="utf-8")
+        assert load_reference(path).pairs == frozenset({("a", "x")})
+
     def test_malformed_line_reported(self, tmp_path):
         path = tmp_path / "ref.tsv"
         path.write_text("a x no tabs here\n", encoding="utf-8")

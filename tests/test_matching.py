@@ -306,6 +306,17 @@ class TestAlignmentSerialization:
         assert path.read_text() == "A\tD\t0.97\n"
         assert load_alignment(path).pairs() == {("A", "D")}
 
+    def test_tsv_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "a.tsv"
+        path.write_text("\nA\tD\t0.5\n \n\nB\tE\t1.0\n", encoding="utf-8")
+        assert load_alignment(path).pairs() == {("A", "D"), ("B", "E")}
+
+    def test_tsv_line_without_three_fields_reported(self, tmp_path):
+        path = tmp_path / "a.tsv"
+        path.write_text("A\tD\t0.5\nB\tE\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="^a.tsv: line 2: expected 3 tab-separated fields$"):
+            load_alignment(path)
+
     def test_duplicate_sources_rejected(self):
         with pytest.raises(ValueError, match="one-to-one"):
             Alignment(

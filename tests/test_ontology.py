@@ -1,4 +1,5 @@
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -119,6 +120,21 @@ class TestLoadJson:
         with pytest.raises(OntologyError, match=rf"g.json: {where} must be a JSON string"):
             load_ontology(path)
 
+    @pytest.mark.parametrize("doc, message", [
+        ('[{"id": "A"}]', "top-level value must be an object"),
+        ('{"terms":[{"label":"A"}]}', "term #0: expected an object with an 'id'"),
+        ('{"terms":[{"id":"A"}],"edges":[5]}', "edge #0: expected an object"),
+        ('{"terms":[{"id":"A"}],"edges":[{"to":"A","label":"m"}]}',
+         "edge #0: missing key 'from'"),
+        ('{"terms":[{"id":"A"}],"edges":[{"from":"Z","to":"A","label":"m"}]}',
+         "edge references unknown term 'Z'"),
+    ], ids=["top-level-list", "term-without-id", "edge-number", "edge-without-from",
+            "edge-from-unknown"])
+    def test_malformed_document_rejected(self, tmp_path, doc, message):
+        path = write(tmp_path, "g.json", doc)
+        with pytest.raises(OntologyError, match=f"^{re.escape(f'g.json: {message}')}$"):
+            load_ontology(path)
+
 
 class TestLoadTriples:
     def test_single_line_matches_json_form(self, tmp_path):
@@ -226,6 +242,12 @@ class TestRoundTrip:
         )
         with pytest.raises(OntologyError, match="label == id"):
             save_ontology(g, tmp_path / "out.txt")
+
+    def test_triples_cannot_hold_whitespace_in_labels(self, tmp_path):
+        g = make_graph(["A", "B"], [("A", "B", "has part")])
+        with pytest.raises(OntologyError, match="whitespace"):
+            save_ontology(g, tmp_path / "out.txt")
+        assert not (tmp_path / "out.txt").exists()
 
     def test_saved_json_is_canonical(self, tmp_path, zoo):
         out = tmp_path / "zoo.json"

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chainalign.chain import PairwiseChain, SolverConfig
+from chainalign.chain import PairwiseChain, SolverConfig, build_upmc
 from chainalign.lexical import SimilarityConfig
 from chainalign.pipeline import align, build_chain, build_shared
 
@@ -58,7 +58,7 @@ class TestSharedBuild:
 
 class TestBuildChain:
     def test_damped_chain_is_stochastic_and_aperiodic(self, birds):
-        chain = build_chain(birds, birds, SimilarityConfig(), SolverConfig())
+        chain = build_chain(build_upmc(birds, birds), SolverConfig())
         assert chain.stochastic
         for i, row in enumerate(chain.transitions):
             assert sum(w for _, w in row) == pytest.approx(1.0, abs=1e-9)
@@ -66,8 +66,8 @@ class TestBuildChain:
 
     def test_undamped_chain_skips_transform(self, birds):
         cfg = SolverConfig()
-        plain = build_chain(birds, birds, SimilarityConfig(), replace(cfg, damping_a=1.0))
-        damped = build_chain(birds, birds, SimilarityConfig(), cfg)
+        plain = build_chain(build_upmc(birds, birds), replace(cfg, damping_a=1.0))
+        damped = build_chain(build_upmc(birds, birds), cfg)
         assert plain.matrix.toarray() != pytest.approx(damped.matrix.toarray())
 
     def test_solvers_agree_on_fixture_chains(self, fixture_graph):
