@@ -6,12 +6,17 @@ best pair scores 1.0. Maximum-weight bipartite matching then selects one
 partner per term.
 
 The assignment is exact over the float scores, read as dyadic rationals.
-scipy's float solver ``linear_sum_assignment`` proposes one; Bellman-Ford
-rounds over the scores as exact integers then either prove it optimal
-with integer dual potentials or find the positive cycle that improves it.
-By complementary slackness the maximum-weight assignments are exactly the
-perfect matchings of those potentials' tight edges, and the one returned
-is the lexicographically smallest (row, col) list among them. That makes
+scipy's float solver ``linear_sum_assignment`` proposes one, and float
+Bellman-Ford rounds give it approximate dual potentials. A float filter
+with a rigorous error bound settles every dual slack that is clearly
+positive; only the entries in doubt (the matched ones and a few more per
+row on real score matrices) become exact integers. Exact Bellman-Ford
+rounds over them either prove the candidate optimal with integer dual
+potentials or find the positive cycle that improves it, and the filter
+runs again wherever a potential rises. By complementary slackness the
+maximum-weight assignments are exactly the perfect matchings of those
+potentials' tight edges, all of them in doubt, and the one returned is
+the lexicographically smallest (row, col) list among them. That makes
 golden outputs stable even for score matrices full of ties, which float
 assignment solvers do not guarantee.
 """
@@ -96,73 +101,134 @@ def _positive_cycle(pred: list[int], starts: list[int]) -> list[int] | None:
     return None
 
 
-def _floor_scaled(x: float, shift: int) -> int:
-    """floor(x * 2^shift), exactly."""
-    num, den = x.as_integer_ratio()
-    shift -= den.bit_length() - 1
-    return num << shift if shift >= 0 else num >> -shift
+def _floor_scaled(values: np.ndarray, shift: int) -> np.ndarray:
+    """floor(x * 2^shift) of each non-negative float x of ``values``, exactly
+    (object dtype)."""
+    mant, expo = np.frexp(values)
+    shifts = expo.astype(int) + (shift - 53)  # x = (mant * 2^53) * 2^(expo - 53)
+    return (np.ldexp(mant, 53).astype(np.int64).astype(object)
+            << np.maximum(shifts, 0).astype(object) >> np.maximum(-shifts, 0).astype(object))
 
 
 def _float_potentials(scaled: np.ndarray, match: np.ndarray) -> np.ndarray:
     """Approximate row potentials of ``match`` in float arithmetic.
 
     Bellman-Ford rounds from zero towards u[i] >= u[k] + gain[i, k], where
-    ``gain[i, k]`` is what row i gains by taking row k's column. They only
-    seed the exact rounds, so float rounding may stop them early.
+    ``gain[i, k]`` is what row i gains by taking row k's column. A round
+    only revisits the columns of the rows whose potential rose in the
+    round before. They only seed the exact rounds, so float rounding may
+    stop them early.
     """
     rows = np.arange(len(match))
     gain = scaled[:, match] - scaled[rows, match]
     u = np.zeros(len(match))
+    frontier = rows
     tol = 2.0 ** -40  # entries lie in [0, 1]
     for _ in range(len(match)):
-        best = (gain + u).max(axis=1)
+        reach = gain[:, frontier]
+        reach += u[frontier]
+        best = reach.max(axis=1)
         if not (best > u + tol).any():
             break
-        u = np.maximum(u, best)
+        frontier = np.flatnonzero(best > u)
+        u[frontier] = best[frontier]
     return u
 
 
-def _exact_duals(weight: np.ndarray, match: np.ndarray, pot: np.ndarray) -> np.ndarray:
+def _exact_duals(arr: np.ndarray, scaled: np.ndarray, match: np.ndarray, pot: np.ndarray,
+                 emin: int, emax: int) -> tuple[np.ndarray, np.ndarray]:
     """Make ``match`` exactly optimal and return its tight edges.
 
-    ``weight`` holds the exact int scores (object dtype) and ``pot``
-    integer seed potentials; ``match`` and ``pot`` change in place.
-    Bellman-Ford rounds raise ``pot`` until
-    u[i] >= u[k] + weight[i, match[k]] - weight[k, match[k]] holds for
-    every pair of rows. A round only revisits the rows whose potential rose
-    in the round before. A positive cycle among the predecessors means the
-    candidate can gain weight: each row on it takes its predecessor's
-    column, and the rounds go on. Once no potential rises, ``match`` is a
-    maximum-weight assignment (its potentials prove it) and the returned
-    ``tight[i, k]`` says whether row i taking ``match[k]`` keeps the
-    potentials tight.
+    ``arr`` holds the m x n scores, exact ints in units of 2^(emin - 53);
+    ``scaled`` holds them times 2^-emax, zero-padded to the square of
+    ``match``. ``pot`` holds integer seed potentials (object dtype) in the
+    units of the scores; ``match`` and ``pot`` change in place.
+
+    Every slack u[i] - u[k] - (s[i, match[k]] - s[k, match[k]]) must end
+    non-negative. A filter computes, in float, the slacks in each column k
+    to check (at first all). Scaled scores lie in [0, 1), ldexp rounds the
+    tiniest by at most 2^-1075, and scaled potentials are at most P, so a
+    float slack above 2^-50 (P + 1) is exactly positive. Only the entries
+    in doubt get exact ints, and Bellman-Ford rounds over them raise
+    ``pot``, each round revisiting the columns of the rows that rose in
+    the one before. A risen row's column is filtered again. A positive
+    cycle among the predecessors improves the candidate (each row on it
+    takes its predecessor's column), and the filter starts over. Once
+    nothing rises the potentials prove ``match`` optimal, and its tight
+    entries, all in doubt, are returned as (rows, columns): row i may take
+    column c and keep the potentials tight.
     """
-    rows = np.arange(len(match))
+    size = len(match)
+    m, n = arr.shape
+    rows = np.arange(size)
+    unit = 1 << (emax - emin + 53)  # one scaled unit, in score units
+
+    def exact(i, c):  # the exact scores of cells (i, c), 0 on the padding
+        inside = (i < m) & (c < n)
+        values = np.zeros(len(i))
+        values[inside] = arr[i[inside], c[inside]]
+        return _floor_scaled(values, 53 - emin)
+
+    def column(q):  # (i, exact gain) of each entry in doubt in column q
+        i, k, g = passes[last[q]]
+        a, b = np.searchsorted(k, [q, q + 1])
+        return zip(i[a:b].tolist(), g[a:b].tolist())
+
+    p = (pot / unit).astype(float)  # int / int rounds correctly
+    recheck = None
     while True:
-        wmatch = weight[:, match]
-        offset = pot - wmatch[rows, rows]
-        reach = wmatch + offset  # reach[i, k] = u[k] + weight[i, match[k]] - weight[k, match[k]]
-        pred = np.full(len(match), -1)
-        frontier = rows
-        while True:
-            best = reach[:, frontier].max(axis=1)
-            up = np.flatnonzero(best > pot)
-            if up.size == 0:
-                return reach == pot[:, None]
-            pred[up] = frontier[reach[np.ix_(up, frontier)].argmax(axis=1)]
-            pot[up] = best[up]
-            offset[up] = pot[up] - wmatch[up, up]
-            reach[:, up] = wmatch[:, up] + offset[up]
-            frontier = up
-            cycle = _positive_cycle(pred.tolist(), up.tolist())
-            if cycle is not None:
-                match[cycle] = match[pred[cycle]]
+        if recheck is None:  # a new candidate
+            gain = scaled[:, match] - scaled[rows, match]
+            own = exact(rows, match)
+            pred = [-1] * size
+            last = np.zeros(size, dtype=int)  # the filter pass that last took each column
+            passes = []  # (rows i, columns k in ascending order, exact gains) in doubt
+            recheck = rows
+        slack = gain[:, recheck]
+        slack += p[recheck]
+        slack -= p[:, None]  # minus the slacks, column by column
+        j, i = np.nonzero(slack.T >= -2.0 ** -50 * (p.max() + 1))
+        k = recheck[j]
+        g = exact(i, match[k]) - own[k]
+        last[recheck] = len(passes)
+        passes.append((i, k, g))
+        reach = pot[k] + g
+        up = np.flatnonzero(reach > pot[i])
+        edges = zip(i[up].tolist(), k[up].tolist(), reach[up].tolist())
+        risen = {}
+        cycle = None
+        while cycle is None:
+            raised = {}
+            for r, q, v in edges:
+                if v > pot[r]:
+                    pot[r] = v
+                    pred[r] = q
+                    raised[r] = None
+            if not raised:
                 break
+            risen.update(raised)
+            cycle = _positive_cycle(pred, list(raised))
+            edges = [(r, q, pot[q] + gq) for q in raised for r, gq in column(q)]
+        if cycle is not None:
+            match[cycle] = match[[pred[x] for x in cycle]]
+            recheck = None
+        elif risen:
+            recheck = np.sort(np.fromiter(risen, dtype=int, count=len(risen)))
+            p[recheck] = (pot[recheck] / unit).astype(float)
+        else:
+            tight_rows, tight_cols = [], []
+            for t, (i, k, g) in enumerate(passes):
+                keep = (last[k] == t) & (pot[i] - pot[k] == g)  # the column's latest pass
+                tight_rows.append(i[keep])
+                tight_cols.append(match[k[keep]])
+            return np.concatenate(tight_rows), np.concatenate(tight_cols)
 
 
-def _lexicographic_matching(tight: np.ndarray, match: np.ndarray, m: int) -> None:
+def _lexicographic_matching(tight_rows: np.ndarray, tight_cols: np.ndarray,
+                            match: np.ndarray, m: int) -> None:
     """Turn ``match`` into the lexicographically smallest perfect matching
-    of the tight subgraph, fixing rows 0..m-1 in turn (in place).
+    of the tight edges (``tight_rows[e]``, ``tight_cols[e]``), fixing rows
+    0..m-1 in turn (in place).
 
     Row i may take a free tight column c exactly when c's current owner
     reaches i along tight arcs (r -> k when r may take k's column) among
@@ -174,32 +240,46 @@ def _lexicographic_matching(tight: np.ndarray, match: np.ndarray, m: int) -> Non
     no such cycle, so the search never takes it.
     """
     size = len(match)
-    allowed = np.empty_like(tight)  # allowed[i, c]: row i may take column c
-    allowed[:, match] = tight
-    owner = np.empty(size, dtype=int)
-    owner[match] = np.arange(size)
-    free = np.ones(size, dtype=bool)
     # a row whose only tight column is its own keeps it: it reaches no other row
-    for i in np.flatnonzero(np.count_nonzero(allowed[:m], axis=1) > 1):
-        options = allowed[i] & free
-        if options.argmax() != match[i]:
-            cols = np.flatnonzero(options)
-            reached = np.zeros(size, dtype=bool)
-            reached[i] = True
-            succ = np.full(size, -1)
-            frontier = np.array([i])
-            while frontier.size and not reached[owner[cols[0]]]:
-                hits = allowed[i:, match[frontier]]
-                new = np.flatnonzero(hits.any(axis=1) & ~reached[i:])
-                succ[new + i] = frontier[hits[new].argmax(axis=1)]
-                reached[new + i] = True
-                frontier = new + i
-            cycle = [owner[cols[reached[owner[cols]]][0]]]
-            while cycle[-1] != i:
-                cycle.append(succ[cycle[-1]])
-            match[cycle] = match[cycle[1:] + cycle[:1]]
-            owner[match[cycle]] = cycle
-        free[match[i]] = False
+    movable = np.flatnonzero(np.bincount(tight_rows, minlength=size)[:m] > 1).tolist()
+    if not movable:
+        return
+    # options[ptr[r]:ptr[r + 1]]: the columns row r may take, ascending;
+    # takers[at[c]:at[c + 1]]: the rows that may take column c
+    by_row = np.lexsort((tight_cols, tight_rows))
+    options = tight_cols[by_row].tolist()
+    ptr = np.searchsorted(tight_rows[by_row], np.arange(size + 1)).tolist()
+    by_col = np.argsort(tight_cols, kind="stable")
+    takers = tight_rows[by_col].tolist()
+    at = np.searchsorted(tight_cols[by_col], np.arange(size + 1)).tolist()
+    col = match.tolist()
+    owner = [0] * size
+    for r, c in enumerate(col):
+        owner[c] = r
+    free = [True] * size
+    for i in movable:
+        cols = [c for c in options[ptr[i]:ptr[i + 1]] if free[c]]
+        if cols[0] != col[i]:
+            target = owner[cols[0]]
+            succ = {i: i}  # succ[r]: the row whose column r takes on the way to i
+            queue = [i]
+            for f in queue:  # breadth first; the loop reads rows appended on the way
+                for r in takers[at[col[f]]:at[col[f] + 1]]:
+                    if r >= i and r not in succ:
+                        succ[r] = f
+                        queue.append(r)
+                if target in succ:
+                    break
+            c = next(c for c in cols if owner[c] in succ)
+            x = owner[c]
+            while x != i:
+                col[x] = col[succ[x]]
+                owner[col[x]] = x
+                x = succ[x]
+            col[i] = c
+            owner[c] = i
+        free[col[i]] = False
+    match[:] = col
 
 
 def hungarian_max(mat: np.ndarray) -> list[tuple[int, int]]:
@@ -212,6 +292,15 @@ def hungarian_max(mat: np.ndarray) -> list[tuple[int, int]]:
     dummies internally; dummy pairs never appear in the output. The
     weight is maximal over the exact scores, and ties between optimal
     assignments resolve to the lexicographically smallest (row, col) list.
+
+    Exact integers are made only where floats cannot decide. Every dual
+    slack is first computed in float: with the scores scaled into [0, 1)
+    and the largest row potential P (at most the matrix size), rounding
+    moves it by less than 2^-50 (P + 1), so a float slack above that bound
+    is exactly positive. Only the entries in doubt get exact integer
+    scores, and the filter runs again on the column of every row whose
+    exact potential rises, and on every improved candidate (see
+    ``_exact_duals``). No n x n array of Python ints is built.
     """
     # imported here: scipy.optimize adds 0.2-0.4 s to `import chainalign`
     from scipy.optimize import linear_sum_assignment
@@ -227,31 +316,28 @@ def hungarian_max(mat: np.ndarray) -> list[tuple[int, int]]:
     rows, cols = np.arange(m), np.arange(n)
     if m < n:
         cols = np.flatnonzero((arr >= np.partition(arr, n - m, axis=1)[:, n - m, None]).any(axis=0))
+        arr = arr[:, cols]
     elif m > n:
         rows = np.flatnonzero((arr >= np.partition(arr, m - n, axis=0)[m - n]).any(axis=1))
-    arr = arr[np.ix_(rows, cols)]
+        arr = arr[rows]
     m, n = arr.shape
     size = max(m, n)
 
-    # Each distinct score is mant * 2^expo with mant * 2^53 an integer, so
-    # in units of 2^(emin - 53) every score is an exact integer.
-    values, inverse = np.unique(arr, return_inverse=True)
-    mant, expo = np.frexp(values)
-    emin, emax = int(expo.min()), int(expo.max())
-    exact = np.ldexp(mant, 53).astype(np.int64).astype(object) << (expo - emin).astype(object)
-    index = np.full((size, size), len(values))  # padding points at a trailing 0
-    index[:m, :n] = inverse.reshape(m, n)
-    weight = np.append(exact, 0)[index]
-
+    # Each score is mant * 2^expo with mant * 2^53 an integer, so in units
+    # of 2^(emin - 53), emin the smallest non-zero score's exponent, every
+    # score is an exact integer.
+    top = arr.max()
+    low = np.min(arr, initial=top, where=arr > 0)  # the smallest non-zero score, if any
+    emin, emax = np.frexp([low, top])[1].tolist()
     scaled = np.zeros((size, size))
     scaled[:m, :n] = np.ldexp(arr, -emax)  # into [0, 1); the tiniest may round
     _, match = linear_sum_assignment(scaled, maximize=True)
-    pot = np.array([_floor_scaled(u, emax - emin + 53)
-                    for u in _float_potentials(scaled, match).tolist()], dtype=object)
+    pot = _floor_scaled(_float_potentials(scaled, match), emax - emin + 53)
 
-    tight = _exact_duals(weight, match, pot)
-    _lexicographic_matching(tight, match, m)
-    return [(int(rows[i]), int(cols[match[i]])) for i in range(m) if match[i] < n]
+    tight_rows, tight_cols = _exact_duals(arr, scaled, match, pot, emin, emax)
+    _lexicographic_matching(tight_rows, tight_cols, match, m)
+    kept = np.flatnonzero(match[:m] < n)
+    return list(zip(rows[kept].tolist(), cols[match[kept]].tolist()))
 
 
 def refine(

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from chainalign import matching
+from chainalign.chain import SolverConfig
 from chainalign.matching import (
     Alignment,
     Correspondence,
@@ -19,7 +20,9 @@ from chainalign.matching import (
     save_alignment,
     to_matrix,
 )
+from chainalign.pipeline import align
 
+from benchcases import make_perturbation_case
 from oracles import brute_force_assignment, greedy_row_assignment_total, lexicographic_assignment
 
 
@@ -137,10 +140,12 @@ class TestHungarianMax:
         mat = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 0.0]])
         tights = []
 
-        def spy(weight, match, pot):
-            tight = exact_duals(weight, match, pot)
-            tights.append(tight[:, np.argsort(match)])  # indexed by column
-            return tight
+        def spy(*args):
+            tight_rows, tight_cols = exact_duals(*args)
+            tight = np.zeros(mat.shape, dtype=bool)
+            tight[tight_rows, tight_cols] = True  # indexed by column
+            tights.append(tight)
+            return tight_rows, tight_cols
 
         exact_duals = matching._exact_duals
         with mock.patch.object(matching, "_exact_duals", spy):
@@ -210,6 +215,40 @@ class TestHungarianMax:
     @settings(max_examples=150, deadline=None)
     @given(tie_heavy_matrices(LOPSIDED))
     def test_lopsided_matrices_match_the_exact_oracle(self, mat):
+        assert hungarian_max(mat) == lexicographic_assignment(mat.tolist())
+
+    def test_matches_the_exact_oracle_at_16_to_40_rows(self):
+        # the float filter's error bound, 2^-50 (P + 1) for the largest row
+        # potential P, grows with the row count: here it spans several ulps
+        # of 1.0, so the planted values' 1-ulp neighbours fall inside it and
+        # only the exact integers can settle them
+        rng = np.random.default_rng(16)
+        for _ in range(40):
+            planted = [5e-324, 1e-300, *rng.random(rng.integers(1, 4))]
+            pool = sorted({float(v) for p in planted
+                           for v in (p, np.nextafter(p, 0.0), np.nextafter(p, 2.0))})
+            mat = rng.choice(pool, size=tuple(rng.integers(16, 41, size=2)))
+            assert hungarian_max(mat) == lexicographic_assignment(mat.tolist())
+
+    def test_near_ties_below_the_float_tolerance_match_the_exact_oracle(self):
+        # scores 2^-48..2^-41 apart: the float potentials stop at a 2^-40
+        # tolerance, so the exact rounds raise potentials by more than the
+        # filter's error bound and must filter the raised columns again
+        rng = np.random.default_rng(41)
+        for _ in range(60):
+            step = 2.0 ** -float(rng.integers(41, 49))
+            pool = sorted({float(b + j * step) for b in rng.random(rng.integers(1, 3))
+                           for j in range(4)})
+            mat = rng.choice(pool, size=tuple(rng.integers(2, 12, size=2)))
+            assert hungarian_max(mat) == lexicographic_assignment(mat.tolist())
+
+    def test_baseline_sf_score_matrix_matches_the_exact_oracle(self):
+        # baseline-sf scores take a handful of distinct values, so rows
+        # have several tight columns and the lexicographic search runs
+        g1, g2, _ = make_perturbation_case(2)
+        _, result = align(g1, g2, solver_cfg=SolverConfig(chain_mode="baseline-sf"))
+        mat = to_matrix(result.distribution, g1.term_ids, g2.term_ids)
+        assert len(np.unique(mat)) <= 8
         assert hungarian_max(mat) == lexicographic_assignment(mat.tolist())
 
     @pytest.mark.parametrize("shape", [(5, 600), (600, 5)])
