@@ -355,8 +355,8 @@ def steady_state(chain: PairwiseChain) -> SolveResult:
     row r without column r. Each column there is a row of I - P less one
     entry, so the system is column diagonally dominant: it needs no row
     pivoting, and SuperLU's symmetric mode keeps the diagonal as pivot.
-    Expects any damping to have been applied already (see
-    ``ergodic_transform``). A pure identity chain admits every
+    Expects any damping to have been applied already, as ``normalize``
+    does with its ``a``. A pure identity chain admits every
     distribution as stationary; the uniform one is returned.
     """
     # imported here: scipy.sparse.linalg adds about 0.1 s to `import chainalign`

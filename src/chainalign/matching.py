@@ -5,20 +5,14 @@ ontology 1's sorted term ids, columns ontology 2's) and rescaled so the
 best pair scores 1.0. Maximum-weight bipartite matching then selects one
 partner per term.
 
-The assignment is exact over the float scores, read as dyadic rationals.
-scipy's float solver ``linear_sum_assignment`` proposes one, and float
-Bellman-Ford rounds give it approximate dual potentials. A float filter
-with a rigorous error bound settles every dual slack that is clearly
-positive; only the entries in doubt (the matched ones and a few more per
-row on real score matrices) become exact integers. Exact Bellman-Ford
-rounds over them either prove the candidate optimal with integer dual
-potentials or find the positive cycle that improves it, and the filter
-runs again wherever a potential rises. By complementary slackness the
-maximum-weight assignments are exactly the perfect matchings of those
-potentials' tight edges, all of them in doubt, and the one returned is
-the lexicographically smallest (row, col) list among them. That makes
-golden outputs stable even for score matrices full of ties, which float
-assignment solvers do not guarantee.
+The assignment is exact over the float scores, read as dyadic rationals:
+scipy's ``linear_sum_assignment`` proposes one, and exact integer
+Bellman-Ford rounds over the dual slacks that a float filter leaves in
+doubt prove it optimal or improve it. One zero-score class row stands for
+all the dummy rows of a rectangular input. By complementary slackness the
+maximum-weight assignments are the perfect matchings of the tight edges,
+and the lexicographically smallest (row, col) list among them is returned:
+golden outputs stay stable on ties, which float solvers do not guarantee.
 """
 from __future__ import annotations
 
@@ -78,25 +72,24 @@ def to_matrix(dist: np.ndarray, rows: Sequence[str], cols: Sequence[str]) -> np.
     return values / peak
 
 
-def _positive_cycle(pred: list[int], starts: list[int]) -> list[int] | None:
+def _positive_cycle(pred: list[int], holder: list[int], starts: list[int]) -> list[int] | None:
     """A cycle of the predecessor graph reachable back from ``starts``, or None.
 
-    ``pred[i]`` is the row whose relaxation last raised row i's potential
-    (-1 if none did). Predecessors change only on strict improvement, so
-    every cycle among them has positive length.
+    Node i's predecessor ``holder[pred[i]]`` holds the column whose taking
+    last raised i's potential (``pred[i] == -1`` and ``holder[-1] == -1`` if
+    none did). Predecessors change only on strict improvement, so every
+    cycle among them has positive length.
     """
     walk = [-1] * len(pred)
     for start in starts:
         x = start
         while x >= 0 and walk[x] < 0:
             walk[x] = start
-            x = pred[x]
+            x = holder[pred[x]]
         if x >= 0 and walk[x] == start:
             cycle = [x]
-            y = pred[x]
-            while y != x:
-                cycle.append(y)
-                y = pred[y]
+            while holder[pred[cycle[-1]]] != x:
+                cycle.append(holder[pred[cycle[-1]]])
             return cycle
     return None
 
@@ -110,91 +103,86 @@ def _floor_scaled(values: np.ndarray, shift: int) -> np.ndarray:
             << np.maximum(shifts, 0).astype(object) >> np.maximum(-shifts, 0).astype(object))
 
 
-def _float_potentials(scaled: np.ndarray, match: np.ndarray) -> np.ndarray:
-    """Approximate row potentials of ``match`` in float arithmetic.
+def _float_potentials(scaled: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    """Approximate node potentials of the candidate ``owner`` in float.
 
-    Bellman-Ford rounds from zero towards u[i] >= u[k] + gain[i, k], where
-    ``gain[i, k]`` is what row i gains by taking row k's column. A round
-    only revisits the columns of the rows whose potential rose in the
-    round before. They only seed the exact rounds, so float rounding may
-    stop them early.
+    Row i of ``scaled`` holds node i's scores; ``owner[c]`` is the node
+    holding column c, one per real row and the rest for the class row.
+    Rounds from zero towards u[i] >= u[k] + gain[i, k], the most node i
+    gains by taking a column of node k, revisit only the nodes that rose.
+    They only seed the exact rounds, so rounding may stop them early.
     """
-    rows = np.arange(len(match))
-    gain = scaled[:, match] - scaled[rows, match]
-    u = np.zeros(len(match))
-    frontier = rows
+    size = len(scaled)
+    best = scaled[:, np.argsort(owner, kind="stable")]  # node k's column k, the last's from k on
+    best[:, size - 1] = best[:, size - 1:].max(axis=1)
+    gain = best[:, :size] - best.diagonal()
+    u, frontier = np.zeros(size), np.arange(size)
     tol = 2.0 ** -40  # entries lie in [0, 1]
-    for _ in range(len(match)):
+    for _ in range(size):
         reach = gain[:, frontier]
         reach += u[frontier]
-        best = reach.max(axis=1)
-        if not (best > u + tol).any():
+        top = reach.max(axis=1)
+        if not (top > u + tol).any():
             break
-        frontier = np.flatnonzero(best > u)
-        u[frontier] = best[frontier]
+        frontier = np.flatnonzero(top > u)
+        u[frontier] = top[frontier]
     return u
 
 
-def _exact_duals(arr: np.ndarray, scaled: np.ndarray, match: np.ndarray, pot: np.ndarray,
+def _exact_duals(scores: np.ndarray, scaled: np.ndarray, owner: np.ndarray, pot: np.ndarray,
                  emin: int, emax: int) -> tuple[np.ndarray, np.ndarray]:
-    """Make ``match`` exactly optimal and return its tight edges.
+    """Make the candidate ``owner`` exactly optimal; return its tight edges.
 
-    ``arr`` holds the m x n scores, exact ints in units of 2^(emin - 53);
-    ``scaled`` holds them times 2^-emax, zero-padded to the square of
-    ``match``. ``pot`` holds integer seed potentials (object dtype) in the
-    units of the scores; ``match`` and ``pot`` change in place.
-
-    Every slack u[i] - u[k] - (s[i, match[k]] - s[k, match[k]]) must end
-    non-negative. A filter computes, in float, the slacks in each column k
-    to check (at first all). Scaled scores lie in [0, 1), ldexp rounds the
-    tiniest by at most 2^-1075, and scaled potentials are at most P, so a
-    float slack above 2^-50 (P + 1) is exactly positive. Only the entries
-    in doubt get exact ints, and Bellman-Ford rounds over them raise
-    ``pot``, each round revisiting the columns of the rows that rose in
-    the one before. A risen row's column is filtered again. A positive
-    cycle among the predecessors improves the candidate (each row on it
-    takes its predecessor's column), and the filter starts over. Once
-    nothing rises the potentials prove ``match`` optimal, and its tight
-    entries, all in doubt, are returned as (rows, columns): row i may take
-    column c and keep the potentials tight.
+    ``scores`` holds the nodes' scores (see ``_float_potentials``), exact
+    ints in units of 2^(emin - 53), and ``scaled`` them times 2^-emax;
+    ``pot`` holds integer seed potentials (object dtype) in score units.
+    ``owner`` and ``pot`` change in place. Every slack u[i] - u[owner[c]] -
+    (s[i, c] - s[owner[c], c]) must end non-negative. A filter computes the
+    slacks of the columns to check (at first all) in float: scaled scores
+    lie in [0, 1), ldexp rounds the tiniest by at most 2^-1075 and scaled
+    potentials are at most P, so a float slack above 2^-50 (P + 1) is
+    exactly positive. The rest, bar a node's own entries, get exact ints.
+    Bellman-Ford rounds over them raise ``pot``, each revisiting the columns
+    of the nodes that rose in the one before, and those columns are filtered
+    again. A positive cycle among the predecessors improves the candidate
+    (each node on it takes the column that raised it), and the filter starts
+    over. Once nothing rises the potentials prove ``owner`` optimal; its
+    tight entries, own or in doubt, are returned as (nodes, columns).
     """
-    size = len(match)
-    m, n = arr.shape
-    rows = np.arange(size)
+    size, n = scaled.shape
+    cols = np.arange(n)
     unit = 1 << (emax - emin + 53)  # one scaled unit, in score units
 
-    def exact(i, c):  # the exact scores of cells (i, c), 0 on the padding
-        inside = (i < m) & (c < n)
-        values = np.zeros(len(i))
-        values[inside] = arr[i[inside], c[inside]]
-        return _floor_scaled(values, 53 - emin)
-
     def column(q):  # (i, exact gain) of each entry in doubt in column q
-        i, k, g = passes[last[q]]
-        a, b = np.searchsorted(k, [q, q + 1])
+        i, c, g = passes[last[q]]
+        a, b = np.searchsorted(c, [q, q + 1])
         return zip(i[a:b].tolist(), g[a:b].tolist())
 
     p = (pot / unit).astype(float)  # int / int rounds correctly
     recheck = None
     while True:
         if recheck is None:  # a new candidate
-            gain = scaled[:, match] - scaled[rows, match]
-            own = exact(rows, match)
-            pred = [-1] * size
-            last = np.zeros(size, dtype=int)  # the filter pass that last took each column
-            passes = []  # (rows i, columns k in ascending order, exact gains) in doubt
-            recheck = rows
+            gain = scaled - scaled[owner, cols]
+            holder = owner.tolist() + [-1]  # holder[-1]: no predecessor
+            order = np.argsort(owner, kind="stable").tolist()
+            held = [order[k:k + 1] for k in range(size - 1)] + [order[size - 1:]]  # by node
+            pred = [-1] * size  # the column whose taking last raised each node
+            last = np.zeros(n, dtype=int)  # the filter pass that last took each column
+            passes = []  # (nodes i, columns c in ascending order, exact gains) in doubt
+            recheck = cols
         slack = gain[:, recheck]
-        slack += p[recheck]
+        slack += p[owner[recheck]]
         slack -= p[:, None]  # minus the slacks, column by column
         j, i = np.nonzero(slack.T >= -2.0 ** -50 * (p.max() + 1))
-        k = recheck[j]
-        g = exact(i, match[k]) - own[k]
+        c = recheck[j]
+        other = i != owner[c]  # an own entry's slack is 0
+        i, c = i[other], c[other]
+        g = np.subtract(*_floor_scaled(scores[np.stack([i, owner[c]]), c], 53 - emin))
         last[recheck] = len(passes)
-        passes.append((i, k, g))
-        reach = pot[k] + g
+        passes.append((i, c, g))
+        reach = pot[owner[c]] + g
         up = np.flatnonzero(reach > pot[i])
-        edges = zip(i[up].tolist(), k[up].tolist(), reach[up].tolist())
+        edges = zip(i[up].tolist(), c[up].tolist(), reach[up].tolist())
         risen = {}
         cycle = None
         while cycle is None:
@@ -207,99 +195,106 @@ def _exact_duals(arr: np.ndarray, scaled: np.ndarray, match: np.ndarray, pot: np
             if not raised:
                 break
             risen.update(raised)
-            cycle = _positive_cycle(pred, list(raised))
-            edges = [(r, q, pot[q] + gq) for q in raised for r, gq in column(q)]
+            cycle = _positive_cycle(pred, holder, list(raised))
+            edges = [(r, q, pot[x] + gq) for x in raised for q in held[x] for r, gq in column(q)]
+        if risen:  # the filter needs p in step with pot, also on a new candidate
+            p[list(risen)] = (pot[list(risen)] / unit).astype(float)
         if cycle is not None:
-            match[cycle] = match[[pred[x] for x in cycle]]
+            owner[[pred[x] for x in cycle]] = cycle
             recheck = None
         elif risen:
-            recheck = np.sort(np.fromiter(risen, dtype=int, count=len(risen)))
-            p[recheck] = (pot[recheck] / unit).astype(float)
+            recheck = np.array(sorted(q for x in risen for q in held[x]))
         else:
-            tight_rows, tight_cols = [], []
-            for t, (i, k, g) in enumerate(passes):
-                keep = (last[k] == t) & (pot[i] - pot[k] == g)  # the column's latest pass
-                tight_rows.append(i[keep])
-                tight_cols.append(match[k[keep]])
-            return np.concatenate(tight_rows), np.concatenate(tight_cols)
+            tight = [(i[k], c[k]) for t, (i, c, g) in enumerate(passes)  # each column's latest pass
+                     for k in [(last[c] == t) & (pot[i] - pot[owner[c]] == g)]]
+            return tuple(np.concatenate(e) for e in zip((owner, cols), *tight))
 
 
-def _lexicographic_matching(tight_rows: np.ndarray, tight_cols: np.ndarray,
-                            match: np.ndarray, m: int) -> None:
-    """Turn ``match`` into the lexicographically smallest perfect matching
-    of the tight edges (``tight_rows[e]``, ``tight_cols[e]``), fixing rows
-    0..m-1 in turn (in place).
+def _lexicographic_matching(tight_rows: np.ndarray, tight_cols: np.ndarray, col: np.ndarray,
+                            owner: np.ndarray, m: int, n: int) -> list[int]:
+    """The lexicographically smallest perfect matching of the tight edges
+    (``tight_rows[e]``, ``tight_cols[e]``), from the one where row i holds
+    ``col[i]`` and column c is held by ``owner[c]``, fixing rows 0..m-1 in
+    turn. A class row m holds every column no real row holds; every
+    unmatched row holds the class column n.
 
-    Row i may take a free tight column c exactly when c's current owner
-    reaches i along tight arcs (r -> k when r may take k's column) among
-    the rows not yet fixed: that path and the edge (i, c) close an
-    alternating cycle of tight edges, so turning it keeps the matching
-    perfect and optimal. Row i takes the smallest such column, found by one
-    backward search from i, and the rows on the cycle each take their
-    successor's column. A tight edge on no maximum-weight matching closes
-    no such cycle, so the search never takes it.
+    Row i may take a smaller tight column c, not held by a fixed row,
+    exactly when c's holder reaches i along tight arcs (r -> f when r may
+    take a column of f) among the rows not yet fixed: that path and (i, c)
+    close an alternating cycle of tight edges, and turning it keeps the
+    matching perfect and optimal. Row i takes the smallest such column,
+    found by one backward search. A tight edge on no maximum-weight
+    matching closes no such cycle, so the search never takes it.
     """
-    size = len(match)
     # a row whose only tight column is its own keeps it: it reaches no other row
-    movable = np.flatnonzero(np.bincount(tight_rows, minlength=size)[:m] > 1).tolist()
+    movable = np.flatnonzero(np.bincount(tight_rows, minlength=m)[:m] > 1).tolist()
     if not movable:
-        return
+        return col.tolist()
     # options[ptr[r]:ptr[r + 1]]: the columns row r may take, ascending;
     # takers[at[c]:at[c + 1]]: the rows that may take column c
     by_row = np.lexsort((tight_cols, tight_rows))
     options = tight_cols[by_row].tolist()
-    ptr = np.searchsorted(tight_rows[by_row], np.arange(size + 1)).tolist()
+    ptr = np.searchsorted(tight_rows[by_row], np.arange(m + 1)).tolist()
     by_col = np.argsort(tight_cols, kind="stable")
     takers = tight_rows[by_col].tolist()
-    at = np.searchsorted(tight_cols[by_col], np.arange(size + 1)).tolist()
-    col = match.tolist()
-    owner = [0] * size
-    for r, c in enumerate(col):
-        owner[c] = r
-    free = [True] * size
-    for i in movable:
-        cols = [c for c in options[ptr[i]:ptr[i + 1]] if free[c]]
-        if cols[0] != col[i]:
-            target = owner[cols[0]]
+    at = np.searchsorted(tight_cols[by_col], np.arange(n + 2)).tolist()
+    owner = owner.tolist() + [m]  # the class column's entry is never read
+    col = col.tolist() + [n]  # the class row's entry
+    for i in movable:  # rows before i are fixed, and so are their columns
+        better = [c for c in options[ptr[i]:ptr[i + 1]] if c < col[i] and owner[c] >= i]
+        if better:
+            target = owner[better[0]]
             succ = {i: i}  # succ[r]: the row whose column r takes on the way to i
             queue = [i]
+            searched = False  # whether the class column's takers were searched
             for f in queue:  # breadth first; the loop reads rows appended on the way
-                for r in takers[at[col[f]]:at[col[f] + 1]]:
+                if f == m:
+                    found = [r for k in range(n) if owner[k] == m for r in takers[at[k]:at[k + 1]]]
+                elif col[f] < n:
+                    found = takers[at[col[f]]:at[col[f] + 1]]
+                elif not searched:  # all holders of the class column share its takers
+                    searched = True
+                    found = [r for r in takers[at[n]:] if col[r] < n]
+                else:
+                    continue
+                for r in found:
                     if r >= i and r not in succ:
                         succ[r] = f
                         queue.append(r)
                 if target in succ:
                     break
-            c = next(c for c in cols if owner[c] in succ)
-            x = owner[c]
-            while x != i:
-                col[x] = col[succ[x]]
-                owner[col[x]] = x
-                x = succ[x]
-            col[i] = c
-            owner[c] = i
-        free[col[i]] = False
-    match[:] = col
+            for c in better:
+                if owner[c] in succ:
+                    x = owner[c]
+                    while x != i:
+                        f = succ[x]
+                        col[x] = col[f] if f < m else next(  # any class row column x may take
+                            k for k in options[ptr[x]:ptr[x + 1]] if owner[k] == m)
+                        owner[col[x]] = x
+                        x = f
+                    col[i], owner[c] = c, i
+                    break
+    return col[:m]
 
 
 def hungarian_max(mat: np.ndarray) -> list[tuple[int, int]]:
     """Maximum-weight assignment of min(m, n) pairs, sorted by row.
 
-    Accepts any finite, non-negative 2-D array. A wide m x n input keeps
-    only the columns where some row scores at least its own m-th best: a
-    row matched lower has a free better column among its top m. A tall one
-    keeps rows alike. The rest is padded to a square with zero-weight
-    dummies internally; dummy pairs never appear in the output. The
-    weight is maximal over the exact scores, and ties between optimal
-    assignments resolve to the lexicographically smallest (row, col) list.
+    Accepts any finite, non-negative 2-D array. The weight is maximal over
+    the exact scores, and ties between optimal assignments resolve to the
+    lexicographically smallest (row, col) list. A tall input is solved as
+    its transpose, so rows never outnumber columns. Only the columns where
+    some row scores at least its k-th best, k the row count, are kept: a
+    row matched lower has a free better column among its top k. One zero-
+    score class row then stands for any dummy rows that would pad them to
+    a square: they score alike, so one node with one potential holds every
+    unmatched column. No square is built, and no dummy pair is returned.
 
-    Exact integers are made only where floats cannot decide. Every dual
-    slack is first computed in float: with the scores scaled into [0, 1)
-    and the largest row potential P (at most the matrix size), rounding
-    moves it by less than 2^-50 (P + 1), so a float slack above that bound
-    is exactly positive. Only the entries in doubt get exact integer
-    scores, and the filter runs again on the column of every row whose
-    exact potential rises, and on every improved candidate (see
+    Exact integers are made only where floats cannot decide: with scores
+    scaled into [0, 1), rounding moves a float dual slack by less than
+    2^-50 (P + 1), P the largest potential (at most the node count). Only
+    the entries in doubt get exact integer scores, filtered again wherever
+    a potential rises and on every improved candidate (see
     ``_exact_duals``). No n x n array of Python ints is built.
     """
     # imported here: scipy.optimize adds 0.2-0.4 s to `import chainalign`
@@ -312,32 +307,34 @@ def hungarian_max(mat: np.ndarray) -> list[tuple[int, int]]:
         raise ValueError("matrix entries must be finite")
     if arr.min() < 0:
         raise ValueError("matrix entries must be non-negative")
-    m, n = arr.shape
-    rows, cols = np.arange(m), np.arange(n)
-    if m < n:
-        cols = np.flatnonzero((arr >= np.partition(arr, n - m, axis=1)[:, n - m, None]).any(axis=0))
-        arr = arr[:, cols]
-    elif m > n:
-        rows = np.flatnonzero((arr >= np.partition(arr, m - n, axis=0)[m - n]).any(axis=1))
-        arr = arr[rows]
-    m, n = arr.shape
-    size = max(m, n)
+    tall = arr.shape[0] > arr.shape[1]
+    work = arr.T if tall else arr
+    rows, cols = work.shape
+    keep = np.arange(cols)
+    if rows < cols:  # keep the columns where some row scores its rows-th best or more
+        keep = np.flatnonzero((work >= np.partition(work, -rows, axis=1)[:, -rows, None]).any(axis=0))
+        work, cols = work[:, keep], len(keep)
+    scores = np.concatenate([work, np.zeros((int(rows < cols), cols))])  # and the class row, if any
 
-    # Each score is mant * 2^expo with mant * 2^53 an integer, so in units
-    # of 2^(emin - 53), emin the smallest non-zero score's exponent, every
-    # score is an exact integer.
+    # in units of 2^(emin - 53), emin the smallest non-zero score's exponent,
+    # every score mant * 2^expo (mant * 2^53 an integer) is an exact integer
     top = arr.max()
     low = np.min(arr, initial=top, where=arr > 0)  # the smallest non-zero score, if any
     emin, emax = np.frexp([low, top])[1].tolist()
-    scaled = np.zeros((size, size))
-    scaled[:m, :n] = np.ldexp(arr, -emax)  # into [0, 1); the tiniest may round
-    _, match = linear_sum_assignment(scaled, maximize=True)
-    pot = _floor_scaled(_float_potentials(scaled, match), emax - emin + 53)
+    scaled = np.ldexp(scores, -emax)  # into [0, 1); the tiniest may round
+    _, match = linear_sum_assignment(scaled[:rows], maximize=True)
+    owner = np.full(cols, rows)  # the class row holds every column no real row holds
+    owner[match] = np.arange(rows)
+    pot = _floor_scaled(_float_potentials(scaled, owner), emax - emin + 53)
 
-    tight_rows, tight_cols = _exact_duals(arr, scaled, match, pot, emin, emax)
-    _lexicographic_matching(tight_rows, tight_cols, match, m)
-    kept = np.flatnonzero(match[:m] < n)
-    return list(zip(rows[kept].tolist(), cols[match[kept]].tolist()))
+    tight_rows, tight_cols = _exact_duals(scores, scaled, owner, pot, emin, emax)
+    held = np.argsort(owner, kind="stable")[:rows]  # each real row's column
+    keep = keep.tolist()
+    if tall:  # the class row is the input's class column, held by every unmatched row
+        col = _lexicographic_matching(tight_cols, tight_rows, owner, held, cols, rows)
+        return [(keep[i], c) for i, c in enumerate(col) if c < rows]
+    col = _lexicographic_matching(tight_rows, tight_cols, held, owner, rows, cols)
+    return [(i, keep[c]) for i, c in enumerate(col)]
 
 
 def refine(

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -43,7 +44,7 @@ def tie_heavy_matrices(draw, shapes=st.tuples(st.integers(1, 8), st.integers(1, 
 
 
 # at least twice as wide as tall, or as tall as wide, up to 9: the shapes
-# where hungarian_max drops columns (rows) before padding
+# where hungarian_max drops columns (rows) and adds its class row
 LOPSIDED = st.integers(1, 4).flatmap(
     lambda k: st.tuples(st.just(k), st.integers(2 * k, 9))).flatmap(
     lambda shape: st.sampled_from([shape, shape[::-1]]))
@@ -217,6 +218,32 @@ class TestHungarianMax:
     def test_lopsided_matrices_match_the_exact_oracle(self, mat):
         assert hungarian_max(mat) == lexicographic_assignment(mat.tolist())
 
+    @pytest.mark.parametrize("transpose", [False, True])
+    @pytest.mark.parametrize("values", [[0.0, 0.5, 1.0], [0.5]])
+    def test_lopsided_tie_blocks_match_the_exact_oracle(self, values, transpose):
+        # 3-6 rows against 40-120 columns, far beyond LOPSIDED: ties keep
+        # most columns, so one class row holds dozens of them
+        rng = np.random.default_rng(len(values) + 2 * transpose)
+        for _ in range(4):
+            mat = rng.choice(values, size=(rng.integers(3, 7), rng.integers(40, 121)))
+            mat = mat.T if transpose else mat
+            assert hungarian_max(mat) == lexicographic_assignment(mat.tolist())
+
+    @pytest.mark.parametrize("shape", [(6, 6), (4, 40), (40, 4)])
+    def test_any_candidate_is_repaired_to_the_exact_oracle(self, shape, monkeypatch):
+        # a random assignment in place of scipy's: positive cycles improve
+        # it with potentials risen on the candidates before, and the tie-
+        # break turns many cycles through the class row (column)
+        rng = np.random.default_rng(sum(shape))
+
+        def scrambled(cost, maximize):
+            return np.arange(len(cost)), rng.permutation(cost.shape[1])[:len(cost)]
+
+        monkeypatch.setattr("scipy.optimize.linear_sum_assignment", scrambled)
+        for _ in range(40):
+            mat = rng.choice([0.0, 0.5, 1.0], size=shape)
+            assert hungarian_max(mat) == lexicographic_assignment(mat.tolist())
+
     def test_matches_the_exact_oracle_at_16_to_40_rows(self):
         # the float filter's error bound, 2^-50 (P + 1) for the largest row
         # potential P, grows with the row count: here it spans several ulps
@@ -262,6 +289,21 @@ class TestHungarianMax:
         with mock.patch("scipy.optimize.linear_sum_assignment", wraps=linear_sum_assignment) as solve:
             assert hungarian_max(mat) == expected
         assert max(solve.call_args.args[0].shape) < 600
+
+    @pytest.mark.parametrize("shape", [(5, 600), (600, 5)])
+    def test_all_ties_build_no_square(self, shape):
+        # one class row stands for the 595 dummy rows: a square padded with
+        # them would take 600 x 600 floats, 2.75 MiB, before any exact int
+        mat = np.ones(shape)
+        hungarian_max(mat)  # scipy.optimize is imported on the first call
+        tracemalloc.start()
+        try:
+            pairs = hungarian_max(mat)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert pairs == [(i, i) for i in range(5)]
+        assert peak < 600 * 600 * 8
 
     def test_inexact_float_candidate_is_repaired(self, monkeypatch):
         # 0.7000000000000001 (7 * 0.1) is one ulp above 0.7: the optimum
