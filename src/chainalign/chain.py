@@ -48,14 +48,19 @@ already stochastic chain through the same helper.
 
 The stationary distribution comes from either power iteration from the
 lexical initial distribution, or a direct sparse LU solve of
-(I - P^T) pi = 0. Both solvers read P^T as ``P.T``, a CSC matrix over
-P's own CSR arrays, which copies nothing. The direct solve requires a
+(I - P^T) pi = 0. Power iteration reads P^T as ``P.T``, a CSC matrix
+over P's own CSR arrays, which copies nothing. The direct solve requires a
 unique stationary distribution, which holds exactly when the pair graph
 has one closed class; it counts the closed classes first and raises
 ``SolverError`` on more than one (power iteration still answers such
 chains). It then pins pi to 1 at the closed class's first state r and
 solves the other n - 1 equations for the other n - 1 entries, a system
-that keeps the sparsity of P; pi is normalized afterwards.
+that keeps the sparsity of P; pi is normalized afterwards. The system is
+factored in a product order (``product_order``): each ontology's term
+graph, read off the chain, is ordered by minimum degree, and state (i, j)
+is numbered p1[i] * n2 + p2[j]. A pair chain lies inside the product of
+its two term graphs, so that order keeps the LU's fill within the blocks
+where ontology 1's own filled graph has an entry.
 """
 from __future__ import annotations
 
@@ -140,10 +145,13 @@ class PairwiseChain:
     ids on each side), is row and column i * n2 + j. Every stored weight
     is positive and every row's columns are sorted and unique.
     ``stochastic`` records whether rows have been normalized to sum to 1.
+    ``n2`` is the width of the pair grid, ontology 2's term count; it is 1
+    for a chain that is not a pair chain.
     """
 
     matrix: sparse.csr_matrix
     stochastic: bool = False
+    n2: int = 1
 
     def __post_init__(self):
         m = self.matrix
@@ -152,6 +160,9 @@ class PairwiseChain:
         n = m.shape[0]
         if m.shape != (n, n):
             raise ValueError(f"matrix must be square, got shape {m.shape}")
+        if not isinstance(self.n2, int) or self.n2 < 1 or n % self.n2:
+            raise ValueError(
+                f"n2 must be a positive integer that divides the {n} states, got {self.n2!r}")
         if ((m.indices < 0) | (m.indices >= n)).any():
             raise ValueError("column index out of range")
         # every entry must exceed the one before it, except at a row start
@@ -224,7 +235,7 @@ def build_upmc(
     src1, dst1, sid1, sets1 = _edges(g1, n2)
     src2, dst2, sid2, sets2 = _edges(g2, 1)
     if not sets1 or not sets2:
-        return PairwiseChain(sparse.csr_matrix((n, n)))
+        return PairwiseChain(sparse.csr_matrix((n, n)), n2=n2)
 
     weight = label_set_weights(sets1, sets2, cfg)
     # row e1, column e2: the weight of g1 entry e1 paired with g2 entry e2
@@ -234,7 +245,7 @@ def build_upmc(
     matrix = sparse.csr_matrix(
         (pairs.data, (src1[e1] + src2[e2], dst1[e1] + dst2[e2])), shape=(n, n)
     )
-    return PairwiseChain(matrix)
+    return PairwiseChain(matrix, n2=n2)
 
 
 def exact_matches(chain: PairwiseChain) -> PairwiseChain:
@@ -250,7 +261,7 @@ def exact_matches(chain: PairwiseChain) -> PairwiseChain:
     m = chain.matrix.copy()
     m.data[m.data != 1.0] = 0.0
     m.eliminate_zeros()
-    return PairwiseChain(m)
+    return PairwiseChain(m, n2=chain.n2)
 
 
 def normalize(chain: PairwiseChain, norm_mode: str = NORM_COMPLEMENT,
@@ -267,7 +278,8 @@ def normalize(chain: PairwiseChain, norm_mode: str = NORM_COMPLEMENT,
     m = chain.matrix
     p = sparse.csr_matrix((_shares(m, norm_mode), m.indices, m.indptr), shape=m.shape)
     # empty rows become self-loops of weight 1
-    return PairwiseChain(_damped(p, a, loops=np.diff(m.indptr) == 0), stochastic=True)
+    return PairwiseChain(_damped(p, a, loops=np.diff(m.indptr) == 0), stochastic=True,
+                         n2=chain.n2)
 
 
 def _shares(m: sparse.csr_matrix, norm_mode: str) -> np.ndarray:
@@ -297,7 +309,8 @@ def ergodic_transform(chain: PairwiseChain, a: float) -> PairwiseChain:
     _check_damping(a)
     if a == 1.0:
         return chain
-    return PairwiseChain(_damped(chain.matrix, a, np.zeros(len(chain))), stochastic=True)
+    return PairwiseChain(_damped(chain.matrix, a, np.zeros(len(chain))), stochastic=True,
+                         n2=chain.n2)
 
 
 def initial_distribution(
@@ -344,6 +357,47 @@ def iterate(chain: PairwiseChain, pi0: np.ndarray, cfg: SolverConfig | None = No
     return SolveResult(distribution=pi, iterations=iterations, converged=converged)
 
 
+def product_order(chain: PairwiseChain) -> np.ndarray:
+    """The chain's states in the order the direct solve eliminates them.
+
+    Each ontology's term graph is read off the chain's pattern: rows and
+    columns ``// n2`` for ontology 1, ``% n2`` for ontology 2. Each is
+    ordered by SuperLU's multiple minimum degree on its symmetrized pattern,
+    and state (i, j) takes position ``p1[i] * n2 + p2[j]``: the terms of
+    ontology 1 in their order, each with the terms of ontology 2 in theirs.
+    On a chain that is not a pair chain (``n2`` = 1) this is the minimum
+    degree order of the chain itself.
+
+    Why it keeps fill down: a transition (x, y) -> (x', y') needs the
+    edges x -> x' and y -> y', so the chain's pattern lies inside the
+    strong product of the two term graphs. Eliminating in this order, a
+    fill path between two states runs through lower-numbered states, and
+    so projects onto ontology 1 as a path through lower-numbered terms.
+    Hence the LU's nonzero n2 x n2 blocks sit only where ontology 1's own
+    filled graph has an entry, and the order of ontology 2 thins each block.
+    """
+    m, n2 = chain.matrix, chain.n2
+    rows = np.repeat(np.arange(len(chain)), np.diff(m.indptr))
+    first = _minimum_degree_order(rows // n2, m.indices // n2, len(chain) // n2)
+    second = _minimum_degree_order(rows % n2, m.indices % n2, n2)
+    return (first[:, None] * n2 + second).ravel()
+
+
+def _minimum_degree_order(src: np.ndarray, dst: np.ndarray, size: int) -> np.ndarray:
+    """The nodes 0 .. size - 1 of the graph src -> dst, in SuperLU's
+    multiple minimum degree order of A^T + A."""
+    from scipy.sparse.linalg import splu
+
+    # each edge counts 1, each diagonal len(src) + 1 more: a strictly dominant
+    # diagonal, so the factorization that yields the order cannot fail
+    nodes = np.arange(size)
+    graph = sparse.csc_matrix(
+        (np.r_[np.ones(len(src)), np.full(size, len(src) + 1.0)],
+         (np.r_[src, nodes], np.r_[dst, nodes])), shape=(size, size))
+    position = splu(graph, permc_spec="MMD_AT_PLUS_A").perm_c
+    return np.argsort(position)
+
+
 def steady_state(chain: PairwiseChain) -> SolveResult:
     """Direct stationary solve of (I - P^T) pi = 0, pinned at one state.
 
@@ -352,11 +406,17 @@ def steady_state(chain: PairwiseChain) -> SolveResult:
     raise ``SolverError``. Otherwise pi_r = 1 at r, the closed class's first
     state (a transient state has no mass to pin), and sparse LU solves the
     other n - 1 equations: I - P^T without row and column r, against P's
-    row r without column r. Each column there is a row of I - P less one
-    entry, so the system is column diagonally dominant: it needs no row
-    pivoting, and SuperLU's symmetric mode keeps the diagonal as pivot.
-    Expects any damping to have been applied already, as ``normalize``
-    does with its ``a``. A pure identity chain admits every
+    row r without column r. The system's rows and columns are permuted
+    alike into ``product_order``, which SuperLU is told to keep
+    (``permc_spec="NATURAL"``). Each column of the system is a row of
+    I - P less one entry, so it is column diagonally dominant, and stays
+    so under a symmetric permutation and through every elimination step:
+    each diagonal pivot is at least as large as any entry below it. The
+    elimination therefore needs no row pivoting, and in symmetric mode,
+    with a diagonal pivot threshold of 0.5 that rounding cannot cross,
+    SuperLU takes every diagonal pivot, so the given order is the one
+    factored. Expects any damping to have been applied already, as
+    ``normalize`` does with its ``a``. A pure identity chain admits every
     distribution as stationary; the uniform one is returned.
     """
     # imported here: scipy.sparse.linalg adds about 0.1 s to `import chainalign`
@@ -384,14 +444,18 @@ def steady_state(chain: PairwiseChain) -> SolveResult:
             f"not unique; {_REMEDY}"
         )
     r = int(np.argmin(left[labels]))
-    keep = np.arange(n) != r
+    order = product_order(chain)
+    order = order[order != r]
     # subtracting drops the 0.0 entries
-    system = (sparse.identity(n, format="csc") - m.T)[keep][:, keep]
+    system = sparse.identity(n - 1, format="csc") - m[order][:, order].T
     try:
-        pinned = splu(system, options=dict(SymmetricMode=True)).solve(m[r].toarray()[0, keep])
+        lu = splu(system, permc_spec="NATURAL", diag_pivot_thresh=0.5,
+                  options=dict(SymmetricMode=True))
     except RuntimeError as exc:  # a weight too small to register against 1
         raise SolverError(f"stationary system is numerically singular ({exc}); {_REMEDY}") from exc
-    pi = np.insert(pinned, r, 1.0)
+    pi = np.empty(n)
+    pi[r] = 1.0
+    pi[order] = lu.solve(m[r].toarray()[0, order])
     pi = pi / pi.sum()
     lowest = pi.min()
     if lowest < -1e-9:

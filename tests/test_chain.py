@@ -25,6 +25,7 @@ from chainalign.chain import (
     initial_distribution,
     iterate,
     normalize,
+    product_order,
     steady_state,
 )
 from chainalign import lexical
@@ -507,6 +508,43 @@ class TestReducibleSteadyState:
         assert closed_class_count(rows) == count
 
 
+@st.composite
+def ring_graphs(draw):
+    """One to eight terms on a ring (one term: a self-loop) plus up to six
+    chords, so every term has an out-edge. Each edge carries "linksTo" or
+    "linkTo", one edit apart, so every pair of edges is compatible, with
+    weight 1 or 4/3."""
+    n = draw(st.integers(1, 8))
+    ids = [f"t{i}" for i in range(n)]
+    pairs = {(i, (i + 1) % n) for i in range(n)}
+    pairs |= set(draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                               max_size=6)))
+    return make_graph(ids, [(ids[s], ids[d], draw(st.sampled_from(["linksTo", "linkTo"])))
+                            for s, d in sorted(pairs)])
+
+
+class TestPairChainSteadyState:
+    """steady_state on pair chains from build_upmc, whose product order has
+    two factors; one side may be a single term, a 1 x 1 factor."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(ring_graphs(), ring_graphs(), st.sampled_from([1.0, 0.85]))
+    @example(make_graph("A", [("A", "A", "linksTo")]),
+             make_graph("DEF", [("D", "E", "linksTo"), ("E", "F", "linkTo"), ("F", "D", "linksTo"),
+                                ("D", "F", "linksTo")]), 1.0)
+    @example(make_graph("ABCD", [("A", "B", "linksTo"), ("B", "C", "linksTo"), ("C", "D", "linkTo"),
+                                 ("D", "A", "linksTo"), ("A", "C", "linksTo"),
+                                 ("A", "A", "linkTo")]),
+             make_graph("E", [("E", "E", "linkTo")]), 0.85)
+    def test_matches_dense_oracle(self, g1, g2, a):
+        chain = normalize(build_upmc(g1, g2), "complement", a)
+        assert chain.n2 == len(g2.term_ids)
+        assume(closed_class_count(chain.transitions) == 1)
+        pi = steady_state(chain).distribution
+        assert np.max(np.abs(pi - stationary_dense(chain.matrix.toarray()))) <= 1e-12
+        assert np.max(np.abs(pi @ chain.matrix - pi)) <= 1e-12
+
+
 class TestChainValidation:
     def test_duplicate_columns_rejected(self):
         with pytest.raises(ValueError, match="sorted and unique"):
@@ -556,6 +594,24 @@ class TestChainValidation:
     def test_non_square_matrix_rejected(self):
         with pytest.raises(ValueError, match="square"):
             PairwiseChain(sparse.csr_matrix(np.ones((2, 3))))
+
+    @pytest.mark.parametrize("n2", [0, -2, 4, 5, 2.0, "2", None])
+    def test_grid_width_must_divide_the_states(self, n2):
+        with pytest.raises(ValueError, match=rf"divides the 6 states, got {n2!r}"):
+            PairwiseChain(sparse.csr_matrix((6, 6)), n2=n2)
+
+    @pytest.mark.parametrize("n2", [1, 2, 3, 6])
+    def test_grid_width_dividing_the_states_accepted(self, n2):
+        assert PairwiseChain(sparse.csr_matrix((6, 6)), n2=n2).n2 == n2
+
+    def test_grid_width_survives_every_transform(self, figure_left, birds):
+        raw = build_upmc(figure_left, birds)
+        assert raw.n2 == len(birds.term_ids) > 1
+        assert exact_matches(raw).n2 == raw.n2
+        assert normalize(raw, "complement", 0.85).n2 == raw.n2
+        assert ergodic_transform(normalize(raw), 0.85).n2 == raw.n2
+        # both sides without edges: the chain has no entries, but a width
+        assert build_upmc(make_graph("ABC", []), make_graph("DE", [])).n2 == 2
 
     def test_bad_row_sum_rejected_when_stochastic(self):
         with pytest.raises(ValueError, match="row 1: stochastic row sums to 0.5"):
@@ -739,16 +795,38 @@ class TestFusedNormalize:
             assert csr_arrays(normalize(raw, "complement", a).matrix) == csr_arrays(expected)
 
 
+def two_rings(n1, n2):
+    """Two hand-made single-label rings with chords: n1 terms with chords
+    i -> i + 2 and i -> 7i + 3, and n2 terms with chords i -> i + 2 and
+    i -> 5i + 1. The i -> i + 2 chords close cycles of n - 1 hops, so both
+    are aperiodic and their pair chain has one closed class."""
+    def ring(prefix, n, step, shift):
+        ids = [f"{prefix}{i:02d}" for i in range(n)]
+        pairs = {(i, (i + 1) % n) for i in range(n)} | {(i, (i + 2) % n) for i in range(n)}
+        pairs |= {(i, (step * i + shift) % n) for i in range(n)}
+        return make_graph(ids, [(ids[s], ids[d], "linksTo") for s, d in sorted(pairs) if s != d])
+    return ring("a", n1, 7, 3), ring("b", n2, 5, 1)
+
+
 class TestPinnedSystem:
     """steady_state factors I - P^T without the row and column of r, the
-    first state of the closed class; checked against the same system built
-    densely by numpy."""
+    first state of the closed class, with its states in product order;
+    checked against the same system built densely by numpy."""
 
     def check(self, chain):
         (closed,) = closed_classes(chain.transitions)
         r = min(closed)
         n = len(chain)
         expected = np.delete(np.delete(np.eye(n) - chain.matrix.toarray().T, r, axis=0), r, axis=1)
+        order = product_order(chain)
+        # a product order: row k of the grid pairs ontology 1's k-th term
+        # with every term of ontology 2, in one order for all k
+        grid = order.reshape(-1, chain.n2)
+        assert sorted(order.tolist()) == list(range(n))
+        assert (grid // chain.n2 == grid[:, :1] // chain.n2).all()
+        assert (grid % chain.n2 == grid[0] % chain.n2).all()
+        # each state but r, at its index in the pinned system
+        permuted = order[order != r] - (order[order != r] > r)
         with mock.patch("scipy.sparse.linalg.splu", wraps=splu) as factor:
             try:
                 steady_state(chain)
@@ -761,9 +839,10 @@ class TestPinnedSystem:
                 # tolerance scales with the largest singular value, which
                 # underflows to 0 when every entry is subnormal
                 assert np.linalg.matrix_rank(expected, tol=(n - 1) * np.finfo(float).eps) < n - 1
+        # the last call factors the system, in the order given
         (system,) = factor.call_args.args
-        assert factor.call_count == 1 and system.format == "csc"
-        assert np.array_equal(system.toarray(), expected)
+        assert factor.call_args.kwargs["permc_spec"] == "NATURAL" and system.format == "csc"
+        assert np.array_equal(system.toarray(), expected[permuted][:, permuted])
         assert system.nnz == np.count_nonzero(expected)
 
     @settings(max_examples=100, deadline=None)
@@ -794,6 +873,34 @@ class TestPinnedSystem:
         chain = normalize(chain_from_rows(rows), "complement", 0.85)
         assert chain.matrix[:, 0].nnz > 1
         self.check(chain)
+
+    def test_pair_chain(self):
+        chain = normalize(build_upmc(*two_rings(5, 4)), "complement", 0.85)
+        assert chain.n2 == 4
+        self.check(chain)
+
+    def test_product_order_fills_less_than_colamd_or_state_order(self):
+        # a count, not a timing: L + U of steady_state's factor against
+        # SuperLU's default order (COLAMD) on the same pinned system, and
+        # against state order, the product of the two term orders as given
+        chain = normalize(build_upmc(*two_rings(30, 30)), "complement", 0.85)
+        factors = []
+
+        def spy(*args, **kwargs):
+            factors.append(splu(*args, **kwargs))
+            return factors[-1]
+
+        with mock.patch("scipy.sparse.linalg.splu", side_effect=spy):
+            pi = steady_state(chain).distribution
+        # every state carries mass, so all are in the closed class and r is 0
+        assert (pi > 0).all()
+        keep = np.arange(len(chain)) != 0
+        system = (sparse.identity(len(chain), format="csc") - chain.matrix.T)[keep][:, keep]
+        fill = factors[-1].L.nnz + factors[-1].U.nnz
+        colamd = splu(system, options=dict(SymmetricMode=True))
+        assert fill < colamd.L.nnz + colamd.U.nnz
+        natural = splu(system, permc_spec="NATURAL", options=dict(SymmetricMode=True))
+        assert fill < natural.L.nnz + natural.U.nnz
 
 
 class TestTransposedIterate:
