@@ -105,9 +105,9 @@ class SolverError(RuntimeError):
     """The stationary system could not be solved as posed."""
 
 
-def _check_damping(a: float) -> None:
+def _check_damping(a: float, name: str = "damping_a") -> None:
     if not 0.0 < a <= 1.0:
-        raise ValueError(f"damping_a must lie in (0, 1], got {a}")
+        raise ValueError(f"{name} must lie in (0, 1], got {a}")
 
 
 def _check_norm_mode(norm_mode: str) -> None:
@@ -146,12 +146,15 @@ class PairwiseChain:
     is positive and every row's columns are sorted and unique.
     ``stochastic`` records whether rows have been normalized to sum to 1.
     ``n2`` is the width of the pair grid, ontology 2's term count; it is 1
-    for a chain that is not a pair chain.
+    for a chain that is not a pair chain. ``damping`` is the a of the
+    damping aP + (1-a)I that made the chain (1 for none), which ``iterate``
+    needs to read its steps as undamped residuals.
     """
 
     matrix: sparse.csr_matrix
     stochastic: bool = False
     n2: int = 1
+    damping: float = 1.0
 
     def __post_init__(self):
         m = self.matrix
@@ -163,6 +166,7 @@ class PairwiseChain:
         if not isinstance(self.n2, int) or self.n2 < 1 or n % self.n2:
             raise ValueError(
                 f"n2 must be a positive integer that divides the {n} states, got {self.n2!r}")
+        _check_damping(self.damping, "damping")
         if ((m.indices < 0) | (m.indices >= n)).any():
             raise ValueError("column index out of range")
         # every entry must exceed the one before it, except at a row start
@@ -261,7 +265,7 @@ def exact_matches(chain: PairwiseChain) -> PairwiseChain:
     m = chain.matrix.copy()
     m.data[m.data != 1.0] = 0.0
     m.eliminate_zeros()
-    return PairwiseChain(m, n2=chain.n2)
+    return PairwiseChain(m, n2=chain.n2, damping=chain.damping)
 
 
 def normalize(chain: PairwiseChain, norm_mode: str = NORM_COMPLEMENT,
@@ -279,7 +283,7 @@ def normalize(chain: PairwiseChain, norm_mode: str = NORM_COMPLEMENT,
     p = sparse.csr_matrix((_shares(m, norm_mode), m.indices, m.indptr), shape=m.shape)
     # empty rows become self-loops of weight 1
     return PairwiseChain(_damped(p, a, loops=np.diff(m.indptr) == 0), stochastic=True,
-                         n2=chain.n2)
+                         n2=chain.n2, damping=a)
 
 
 def _shares(m: sparse.csr_matrix, norm_mode: str) -> np.ndarray:
@@ -303,14 +307,15 @@ def _damped(p: sparse.csr_matrix, a: float, loops: np.ndarray) -> sparse.csr_mat
 
 
 def ergodic_transform(chain: PairwiseChain, a: float) -> PairwiseChain:
-    """Damp the chain: P' = aP + (1-a)I. ``a`` = 1 returns the chain as is."""
+    """Damp the chain: P' = aP + (1-a)I. ``a`` = 1 returns the chain as is.
+    A chain damped by d before is damped by a * d after."""
     if not chain.stochastic:
         raise ValueError("ergodic transform requires a stochastic chain")
     _check_damping(a)
     if a == 1.0:
         return chain
     return PairwiseChain(_damped(chain.matrix, a, np.zeros(len(chain))), stochastic=True,
-                         n2=chain.n2)
+                         n2=chain.n2, damping=chain.damping * a)
 
 
 def initial_distribution(
@@ -327,9 +332,16 @@ def initial_distribution(
 
 
 def iterate(chain: PairwiseChain, pi0: np.ndarray, cfg: SolverConfig | None = None) -> SolveResult:
-    """Power iteration pi_t = pi_{t-1} P until the max-norm step falls under
-    epsilon. On a damped chain aP + (1-a)I that step is a(pi P - pi), so the
-    undamped residual max|pi P - pi| may reach epsilon / a when it stops."""
+    """Power iteration pi_t = pi_{t-1} P until the undamped residual falls
+    under epsilon.
+
+    On a chain damped by a (``chain.damping``), P' = aP + (1-a)I, a step
+    pi P' - pi is a(pi P - pi), so the run stops once the max-norm step is
+    at most epsilon * a: the undamped residual max|pi P - pi| of the vector
+    it measured is then at most epsilon. The vector returned is one step
+    further on. A damping too small to bring the residual under epsilon
+    within ``max_iters`` ends with ``converged`` False.
+    """
     cfg = cfg or SolverConfig()
     if not chain.stochastic:
         raise ValueError("iterate requires a stochastic chain")
@@ -350,7 +362,7 @@ def iterate(chain: PairwiseChain, pi0: np.ndarray, cfg: SolverConfig | None = No
         nxt = transposed @ pi
         delta = np.max(np.abs(nxt - pi))
         pi = nxt
-        if delta <= cfg.epsilon:
+        if delta <= cfg.epsilon * chain.damping:
             converged = True
             break
     pi = pi / pi.sum()

@@ -137,50 +137,40 @@ def _exact_duals(scores: np.ndarray, scaled: np.ndarray, owner: np.ndarray, pot:
     ints in units of 2^(emin - 53), and ``scaled`` them times 2^-emax;
     ``pot`` holds integer seed potentials (object dtype) in score units.
     ``owner`` and ``pot`` change in place. Every slack u[i] - u[owner[c]] -
-    (s[i, c] - s[owner[c], c]) must end non-negative. A filter computes the
-    slacks of the columns to check (at first all) in float: scaled scores
-    lie in [0, 1), ldexp rounds the tiniest by at most 2^-1075 and scaled
-    potentials are at most P, so a float slack above 2^-50 (P + 1) is
-    exactly positive. The rest, bar a node's own entries, get exact ints.
-    Bellman-Ford rounds over them raise ``pot``, each revisiting the columns
-    of the nodes that rose in the one before, and those columns are filtered
-    again. A positive cycle among the predecessors improves the candidate
-    (each node on it takes the column that raised it), and the filter starts
-    over. Once nothing rises the potentials prove ``owner`` optimal; its
-    tight entries, own or in doubt, are returned as (nodes, columns).
+    (s[i, c] - s[owner[c], c]) must end non-negative. Each pass of a float
+    filter computes every slack: scaled scores lie in [0, 1), ldexp rounds
+    the tiniest by at most 2^-1075 and scaled potentials are at most P, so a
+    float slack above 2^-50 (P + 1) is exactly positive. The rest, bar a
+    node's own entries, get exact ints. Bellman-Ford rounds over them raise
+    ``pot``, each revisiting the entries in the columns of the nodes that
+    rose in the one before. A positive cycle among the predecessors improves
+    the candidate (each node on it takes the column that raised it);
+    otherwise, if a potential rose, the filter runs again. Once nothing
+    rises the potentials prove ``owner`` optimal; its tight entries, own or
+    in doubt, are returned as (nodes, columns). An entry of exact slack 0
+    is in doubt on every pass, so the last pass holds them all.
     """
     size, n = scaled.shape
     cols = np.arange(n)
     unit = 1 << (emax - emin + 53)  # one scaled unit, in score units
-
-    def column(q):  # (i, exact gain) of each entry in doubt in column q
-        i, c, g = passes[last[q]]
-        a, b = np.searchsorted(c, [q, q + 1])
-        return zip(i[a:b].tolist(), g[a:b].tolist())
-
     p = (pot / unit).astype(float)  # int / int rounds correctly
-    recheck = None
+    new = True
     while True:
-        if recheck is None:  # a new candidate
+        if new:  # a new candidate
             gain = scaled - scaled[owner, cols]
             holder = owner.tolist() + [-1]  # holder[-1]: no predecessor
-            order = np.argsort(owner, kind="stable").tolist()
-            held = [order[k:k + 1] for k in range(size - 1)] + [order[size - 1:]]  # by node
             pred = [-1] * size  # the column whose taking last raised each node
-            last = np.zeros(n, dtype=int)  # the filter pass that last took each column
-            passes = []  # (nodes i, columns c in ascending order, exact gains) in doubt
-            recheck = cols
-        slack = gain[:, recheck]
-        slack += p[owner[recheck]]
-        slack -= p[:, None]  # minus the slacks, column by column
-        j, i = np.nonzero(slack.T >= -2.0 ** -50 * (p.max() + 1))
-        c = recheck[j]
-        other = i != owner[c]  # an own entry's slack is 0
-        i, c = i[other], c[other]
-        g = np.subtract(*_floor_scaled(scores[np.stack([i, owner[c]]), c], 53 - emin))
-        last[recheck] = len(passes)
-        passes.append((i, c, g))
-        reach = pot[owner[c]] + g
+            new = False
+        slack = gain + p[owner]
+        slack -= p[:, None]  # minus the slacks
+        i, c = np.nonzero(slack >= -2.0 ** -50 * (p.max() + 1))
+        k = owner[c]
+        other = i != k  # an own entry's slack is 0
+        i, c, k = i[other], c[other], k[other]
+        g = np.subtract(*_floor_scaled(scores[np.stack([i, k]), c], 53 - emin))
+        by = np.argsort(k, kind="stable")  # node x's columns' entries: by[ptr[x]:ptr[x + 1]]
+        ptr = np.searchsorted(k[by], np.arange(size + 1)).tolist()
+        reach = pot[k] + g
         up = np.flatnonzero(reach > pot[i])
         edges = zip(i[up].tolist(), c[up].tolist(), reach[up].tolist())
         risen = {}
@@ -196,18 +186,16 @@ def _exact_duals(scores: np.ndarray, scaled: np.ndarray, owner: np.ndarray, pot:
                 break
             risen.update(raised)
             cycle = _positive_cycle(pred, holder, list(raised))
-            edges = [(r, q, pot[x] + gq) for x in raised for q in held[x] for r, gq in column(q)]
+            edges = [(r, q, pot[x] + gq) for x in raised for r, q, gq in
+                     zip(*(e[by[ptr[x]:ptr[x + 1]]].tolist() for e in (i, c, g)))]
         if risen:  # the filter needs p in step with pot, also on a new candidate
             p[list(risen)] = (pot[list(risen)] / unit).astype(float)
         if cycle is not None:
             owner[[pred[x] for x in cycle]] = cycle
-            recheck = None
-        elif risen:
-            recheck = np.array(sorted(q for x in risen for q in held[x]))
-        else:
-            tight = [(i[k], c[k]) for t, (i, c, g) in enumerate(passes)  # each column's latest pass
-                     for k in [(last[c] == t) & (pot[i] - pot[owner[c]] == g)]]
-            return tuple(np.concatenate(e) for e in zip((owner, cols), *tight))
+            new = True
+        elif not risen:
+            t = pot[i] - pot[k] == g
+            return np.concatenate([owner, i[t]]), np.concatenate([cols, c[t]])
 
 
 def _lexicographic_matching(tight_rows: np.ndarray, tight_cols: np.ndarray, col: np.ndarray,
@@ -293,9 +281,9 @@ def hungarian_max(mat: np.ndarray) -> list[tuple[int, int]]:
     Exact integers are made only where floats cannot decide: with scores
     scaled into [0, 1), rounding moves a float dual slack by less than
     2^-50 (P + 1), P the largest potential (at most the node count). Only
-    the entries in doubt get exact integer scores, filtered again wherever
-    a potential rises and on every improved candidate (see
-    ``_exact_duals``). No n x n array of Python ints is built.
+    the entries in doubt get exact integer scores. The filter covers every
+    column again once a potential rises, and on every improved candidate
+    (see ``_exact_duals``). No n x n array of Python ints is built.
     """
     # imported here: scipy.optimize adds 0.2-0.4 s to `import chainalign`
     from scipy.optimize import linear_sum_assignment

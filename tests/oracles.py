@@ -384,16 +384,18 @@ def normalize_then_damp(matrix, norm_mode: str, a: float) -> sparse.csr_matrix:
     return a * m + sparse.diags(np.full(m.shape[0], 1.0 - a), format="csr")
 
 
-def iterate_rmatmul(matrix, pi0, epsilon: float, max_iters: int):
+def iterate_rmatmul(matrix, pi0, epsilon: float, max_iters: int, damping: float = 1.0):
     """Power iteration as ``pi @ P`` from pi0 / sum(pi0), stopping once the
-    max-norm step is at most epsilon. Returns (pi, iterations, converged)."""
+    max-norm step is at most epsilon * damping: on P = aQ + (1-a)I, a
+    ``damping`` of a, the undamped residual max|pi Q - pi| is then at most
+    epsilon. Returns (pi, iterations, converged)."""
     pi = pi0 / pi0.sum()
     converged = False
     for iterations in range(1, max_iters + 1):
         nxt = pi @ matrix
         delta = np.max(np.abs(nxt - pi))
         pi = nxt
-        if delta <= epsilon:
+        if delta <= epsilon * damping:
             converged = True
             break
     return pi / pi.sum(), iterations, converged

@@ -407,6 +407,17 @@ class TestSteadyState:
             steady_state(chain)
         assert "--method iterative" in str(info.value)
 
+    def test_negative_solution_raises_ill_conditioned(self):
+        # rows may sum to 1 within ROW_SUM_TOL; row 1's excess e = 1e-10
+        # outweighs the 1e-12 that leaves the block {1, 2}, so the block's
+        # last pivot is about -e, and the solution has entries of both signs
+        e = 1e-10
+        chain = dense_chain([[0, 0.5, 0, 0.5], [0, 0.5, 0.5 + e, 0],
+                             [1e-12, 0.5, 0.5, 0], [0.9 * e, 0, 0, 1 - 0.9 * e]])
+        with pytest.raises(SolverError, match="significantly negative entry") as info:
+            steady_state(chain)
+        assert "ill-conditioned" in str(info.value) and "--method iterative" in str(info.value)
+
     def test_import_leaves_sparse_linalg_unloaded(self):
         # steady_state imports scipy.sparse.linalg itself, so importing the
         # package does not pay for it
@@ -612,6 +623,19 @@ class TestChainValidation:
         assert ergodic_transform(normalize(raw), 0.85).n2 == raw.n2
         # both sides without edges: the chain has no entries, but a width
         assert build_upmc(make_graph("ABC", []), make_graph("DE", [])).n2 == 2
+
+    def test_damping_recorded_by_every_transform(self, figure_left, birds):
+        raw = build_upmc(figure_left, birds)
+        assert raw.damping == 1.0
+        assert normalize(raw, "complement", 0.85).damping == 0.85
+        assert ergodic_transform(normalize(raw, "complement", 0.5), 0.5).damping == 0.25
+        half = PairwiseChain(raw.matrix, n2=raw.n2, damping=0.5)
+        assert exact_matches(half).damping == 0.5
+
+    @pytest.mark.parametrize("a", [0.0, -0.5, 1.5, np.nan])
+    def test_damping_outside_unit_interval_rejected(self, a):
+        with pytest.raises(ValueError, match=r"^damping must lie in \(0, 1\]"):
+            PairwiseChain(sparse.csr_matrix((2, 2)), damping=a)
 
     def test_bad_row_sum_rejected_when_stochastic(self):
         with pytest.raises(ValueError, match="row 1: stochastic row sums to 0.5"):
@@ -909,7 +933,8 @@ class TestTransposedIterate:
 
     def assert_matches_loop(self, chain, pi0, cfg):
         result = iterate(chain, pi0, cfg)
-        pi, iterations, converged = iterate_rmatmul(chain.matrix, pi0, cfg.epsilon, cfg.max_iters)
+        pi, iterations, converged = iterate_rmatmul(chain.matrix, pi0, cfg.epsilon, cfg.max_iters,
+                                                    chain.damping)
         assert result.distribution.tobytes() == pi.tobytes()
         assert (result.iterations, result.converged) == (iterations, converged)
         return result
@@ -934,6 +959,29 @@ class TestTransposedIterate:
         pi0 = initial_distribution(base, mutant)
         result = self.assert_matches_loop(chain, pi0, SolverConfig())
         assert result.converged and result.iterations > 1
+
+
+class TestUndampedStop:
+    """iterate stops on the undamped residual, read through chain.damping."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(raw_rows(), st.sampled_from(["complement", "formula"]),
+           st.one_of(st.just(1.0), st.just(0.85), st.floats(0.05, 1.0)),
+           st.sampled_from([1e-3, 1e-6, 1e-9]), st.data())
+    def test_converged_run_bounds_the_undamped_residual(self, rows, norm_mode, a, epsilon, data):
+        # the stop test measured pi_t, and pi_{t+1} = pi_t P' is returned.
+        # P' = aQ + (1-a)I commutes with the undamped Q, so pi_{t+1}(Q - I)
+        # = pi_t(Q - I) P', at most epsilon times P''s largest column sum
+        raw = chain_from_rows(rows)
+        chain = normalize(raw, norm_mode, a)
+        pi0 = np.array(data.draw(st.lists(st.floats(0.01, 1.0), min_size=len(rows),
+                                          max_size=len(rows))))
+        result = iterate(chain, pi0, SolverConfig(epsilon=epsilon, max_iters=2000))
+        assume(result.converged)
+        undamped = normalize(raw, norm_mode).matrix
+        pi = result.distribution
+        column_sum = chain.matrix.sum(axis=0).max()
+        assert np.max(np.abs(pi @ undamped - pi)) <= epsilon * column_sum + 1e-12
 
 
 class TestExactMatches:

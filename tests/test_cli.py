@@ -96,6 +96,13 @@ class TestAlign:
         assert "1 iterations" in lines[0]
         assert "--max-iters" in lines[0] and "--epsilon" in lines[0]
 
+    def test_tiny_damping_warns_and_exits_0(self, capsys):
+        code, out, err = run(capsys, "align", ZOO, ZOO, "--damping", "1e-12")
+        assert code == 0
+        assert json.loads(out)["metadata"]["converged"] is False
+        assert err == ("chainalign: warning: the solve did not converge in 10000 iterations; "
+                       "raise --max-iters or loosen --epsilon\n")
+
     @pytest.mark.parametrize("pair", [(BIRDS, ZOO), (ZOO, ZOO)])
     def test_default_run_prints_nothing_on_stderr(self, capsys, pair):
         code, _, err = run(capsys, "align", *pair)

@@ -303,6 +303,10 @@ class TestSynthMutate:
         with pytest.raises(ValueError, match="rate"):
             synth_mutate(zoo, 7, "edge-drop", rate=1.5)
 
+    def test_empty_ontology_rejected(self):
+        with pytest.raises(ValueError, match="^cannot mutate an empty ontology$"):
+            synth_mutate(make_graph("", []), 7, "label-edit")
+
 
 class TestReferenceIO:
     def test_tsv_round_trip(self, tmp_path):
@@ -311,6 +315,7 @@ class TestReferenceIO:
         save_reference(reference, path)
         assert path.read_text() == "a\tx\nb\ty\n"
         assert load_reference(path) == reference
+        assert len(reference) == 2
 
     def test_json_round_trip(self, tmp_path):
         reference = ReferenceAlignment(frozenset({("a", "x"), ("b", "y")}))

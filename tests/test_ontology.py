@@ -95,6 +95,11 @@ class TestLoadJson:
         with pytest.raises(OntologyError, match="empty label"):
             load_ontology(path)
 
+    def test_empty_term_id_rejected(self, tmp_path):
+        path = write(tmp_path, "g.json", '{"terms":[{"id":"A"},{"id":"","label":"x"}]}')
+        with pytest.raises(OntologyError, match=r"^g\.json: term id must be non-empty$"):
+            load_ontology(path)
+
     def test_bad_kind_rejected(self, tmp_path):
         path = write(
             tmp_path,
@@ -208,6 +213,10 @@ class TestGraphInvariants:
     def test_empty_term_label_rejected(self):
         with pytest.raises(OntologyError):
             Term(id="A", label="")
+
+    def test_empty_edge_label_rejected(self):
+        with pytest.raises(OntologyError, match=r"^edge 'A' -> 'B': label must be non-empty$"):
+            LabeledEdge("A", "B", "")
 
     def test_adjacency_rebuild_consistency(self, fixture_graph):
         rebuilt = {}

@@ -48,6 +48,13 @@ class TestAlignMetadata:
         assert alignment.metadata["iterations"] == result.iterations
         assert alignment.metadata["converged"] is True
 
+    def test_tiny_damping_reports_unconverged(self, zoo):
+        # each step at a = 1e-12 is under epsilon, but the undamped residual
+        # is about 0.1 throughout: the run is capped, not converged
+        alignment, result = align(zoo, zoo, solver_cfg=SolverConfig(damping_a=1e-12))
+        assert (result.iterations, result.converged) == (10_000, False)
+        assert alignment.metadata["converged"] is False
+
 
 class TestSharedBuild:
     def test_iterative_align_rejects_a_build_without_pi0(self, birds):
