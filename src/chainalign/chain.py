@@ -421,13 +421,18 @@ def steady_state(chain: PairwiseChain) -> SolveResult:
     row r without column r. The system's rows and columns are permuted
     alike into ``product_order``, which SuperLU is told to keep
     (``permc_spec="NATURAL"``). Each column of the system is a row of
-    I - P less one entry, so it is column diagonally dominant, and stays
-    so under a symmetric permutation and through every elimination step:
-    each diagonal pivot is at least as large as any entry below it. The
-    elimination therefore needs no row pivoting, and in symmetric mode,
-    with a diagonal pivot threshold of 0.5 that rounding cannot cross,
-    SuperLU takes every diagonal pivot, so the given order is the one
-    factored. Expects any damping to have been applied already, as
+    I - P less one entry, so for a row of P that sums to exactly 1 it is
+    column diagonally dominant, and stays so under a symmetric permutation
+    and through every elimination step: each diagonal pivot is at least as
+    large as any entry below it. The elimination therefore needs no row
+    pivoting, and in symmetric mode, with a diagonal pivot threshold of
+    0.5 that rounding cannot cross, SuperLU takes every diagonal pivot, so
+    the given order is the one factored. ``PairwiseChain`` accepts row
+    sums within ``ROW_SUM_TOL`` of 1, and a row summing to 1 + e can miss
+    dominance by up to e: where less than e of weight leaves a block of
+    states, a pivot can turn negative. The solution can then have entries
+    of both signs, and a significantly negative one raises
+    ``SolverError``. Expects any damping to have been applied already, as
     ``normalize`` does with its ``a``. A pure identity chain admits every
     distribution as stationary; the uniform one is returned.
     """

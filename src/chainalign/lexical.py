@@ -231,13 +231,16 @@ def _bag_distances(points_a, len_a, points_b, len_b):
 def levenshtein_matrix(a: Sequence[str], b: Sequence[str],
                        cutoff: int | None = None) -> np.ndarray:
     """``levenshtein(a[i], b[j])`` for every pair, as an int array of shape
-    (len(a), len(b)); with ``cutoff``, min(distance, cutoff + 1).
+    (len(a), len(b)); with ``cutoff``, a non-negative integer,
+    min(distance, cutoff + 1).
 
     Without a cutoff, or with one no less than the longest label, every
     pair runs through the recurrence as one grid. Otherwise only the pairs
     whose bag distance (``_bag_distances``), a lower bound, is at most the
     cutoff run through it, as a pair list; the others get cutoff + 1.
     """
+    if cutoff is not None and not (isinstance(cutoff, (int, np.integer)) and cutoff >= 0):
+        raise ValueError(f"cutoff must be a non-negative integer, got {cutoff!r}")
     out = np.empty((len(a), len(b)), dtype=np.int32)
     if not len(a) or not len(b):
         return out

@@ -271,12 +271,10 @@ def hungarian_max(mat: np.ndarray) -> list[tuple[int, int]]:
     Accepts any finite, non-negative 2-D array. The weight is maximal over
     the exact scores, and ties between optimal assignments resolve to the
     lexicographically smallest (row, col) list. A tall input is solved as
-    its transpose, so rows never outnumber columns. Only the columns where
-    some row scores at least its k-th best, k the row count, are kept: a
-    row matched lower has a free better column among its top k. One zero-
-    score class row then stands for any dummy rows that would pad them to
-    a square: they score alike, so one node with one potential holds every
-    unmatched column. No square is built, and no dummy pair is returned.
+    its transpose, so rows never outnumber columns. One zero-score class
+    row stands for any dummy rows that would pad it to a square: they
+    score alike, so one node with one potential holds every unmatched
+    column. No square is built, and no dummy pair is returned.
 
     Exact integers are made only where floats cannot decide: with scores
     scaled into [0, 1), rounding moves a float dual slack by less than
@@ -298,10 +296,6 @@ def hungarian_max(mat: np.ndarray) -> list[tuple[int, int]]:
     tall = arr.shape[0] > arr.shape[1]
     work = arr.T if tall else arr
     rows, cols = work.shape
-    keep = np.arange(cols)
-    if rows < cols:  # keep the columns where some row scores its rows-th best or more
-        keep = np.flatnonzero((work >= np.partition(work, -rows, axis=1)[:, -rows, None]).any(axis=0))
-        work, cols = work[:, keep], len(keep)
     scores = np.concatenate([work, np.zeros((int(rows < cols), cols))])  # and the class row, if any
 
     # in units of 2^(emin - 53), emin the smallest non-zero score's exponent,
@@ -317,12 +311,10 @@ def hungarian_max(mat: np.ndarray) -> list[tuple[int, int]]:
 
     tight_rows, tight_cols = _exact_duals(scores, scaled, owner, pot, emin, emax)
     held = np.argsort(owner, kind="stable")[:rows]  # each real row's column
-    keep = keep.tolist()
     if tall:  # the class row is the input's class column, held by every unmatched row
         col = _lexicographic_matching(tight_cols, tight_rows, owner, held, cols, rows)
-        return [(keep[i], c) for i, c in enumerate(col) if c < rows]
-    col = _lexicographic_matching(tight_rows, tight_cols, held, owner, rows, cols)
-    return [(i, keep[c]) for i, c in enumerate(col)]
+        return [(i, c) for i, c in enumerate(col) if c < rows]
+    return list(enumerate(_lexicographic_matching(tight_rows, tight_cols, held, owner, rows, cols)))
 
 
 def refine(

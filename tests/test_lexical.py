@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 from unittest import mock
 
 import numpy as np
@@ -168,6 +169,13 @@ class TestCutoff:
             got = levenshtein_matrix(a, b, cutoff)
         assert got.dtype == np.int32
         assert got.tolist() == [[min(levenshtein(x, y), cutoff + 1) for y in b] for x in a]
+
+    @pytest.mark.parametrize("cutoff", [-1, -5, 1.0, 2.5, "2"])
+    def test_cutoff_other_than_a_non_negative_integer_rejected(self, cutoff):
+        # a negative cutoff would cap every distance at cutoff + 1 <= 0, as
+        # if every pair matched
+        with pytest.raises(ValueError, match=re.escape(repr(cutoff))):
+            levenshtein_matrix(["abc", "x"], ["abd", "yyy"], cutoff)
 
     def test_pairs_past_the_cutoff_never_reach_the_recurrence(self):
         a = ["abcdef", "ghijkl", "abcdeg", "fedcba"]
