@@ -277,7 +277,11 @@ def _cmd_bench_gen(args) -> int:
     g = load_ontology(args.ontology)
     mutant, reference = synth_mutate(g, cfg.seed, args.mutation, args.rate)
     save_ontology(mutant, out_ont)
-    save_reference(reference, out_ref)
+    try:
+        save_reference(reference, out_ref)
+    except ValueError:  # a refused reference leaves no mutant behind either
+        Path(out_ont).unlink()
+        raise
     print(f"wrote {out_ont} and {out_ref}", file=sys.stderr)
     return EXIT_OK
 

@@ -11,6 +11,8 @@ scrambling, case flips and random edge drops.
 """
 from __future__ import annotations
 
+import csv
+import io
 import random
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -154,27 +156,18 @@ def _fmt_metric(value: float | None) -> str:
 
 
 def comparison_csv(rows: list[CompareRow]) -> str:
-    """Plot-ready CSV, one row per (case, mode)."""
-    lines = ["case,mode,precision,recall,f_measure,returned,valid,correct,iterations,converged"]
+    """Plot-ready CSV, one row per (case, mode); a case label that holds a
+    comma, a quote or a line feed is quoted."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["case", "mode", "precision", "recall", "f_measure", "returned", "valid",
+                     "correct", "iterations", "converged"])
     for row in rows:
         rep = row.report
-        lines.append(
-            ",".join(
-                [
-                    row.case,
-                    row.mode,
-                    _fmt_metric(rep.precision),
-                    _fmt_metric(rep.recall),
-                    _fmt_metric(rep.f_measure),
-                    str(rep.returned),
-                    str(rep.valid),
-                    str(rep.correct),
-                    str(row.iterations),
-                    str(row.converged).lower(),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+        writer.writerow([row.case, row.mode, _fmt_metric(rep.precision), _fmt_metric(rep.recall),
+                         _fmt_metric(rep.f_measure), rep.returned, rep.valid, rep.correct,
+                         row.iterations, str(row.converged).lower()])
+    return out.getvalue()
 
 
 def load_reference(path: str | Path) -> ReferenceAlignment:
@@ -202,11 +195,21 @@ def load_reference(path: str | Path) -> ReferenceAlignment:
 
 def save_reference(reference: ReferenceAlignment, path: str | Path) -> None:
     """Write ``reference`` as ``load_reference`` reads it: by the ``.json`` name, the
-    alignment JSON of its (one-to-one) pairs at confidence 1.0, else TSV."""
+    alignment JSON of its (one-to-one) pairs at confidence 1.0, else TSV.
+
+    The TSV reader splits lines and tabs, strips each line and skips ``#``
+    comments, so TSV refuses, before writing, an empty id, one with a tab, a
+    line break or outer whitespace (as ``save_alignment`` does), and a source
+    starting with ``#``.
+    """
     pairs = sorted(reference.pairs)
     if is_json_path(path):
         save_alignment(Alignment([Correspondence(s, t, 1.0) for s, t in pairs]), path)
     else:
+        for s, t in pairs:
+            for x in (s, t):  # s first, so a '#' source is the id named
+                if x != x.strip() or "\t" in x or len(x.splitlines()) != 1 or s.startswith("#"):
+                    raise ValueError(f"{path}: TSV cannot hold the id {x!r}; use a .json path")
         Path(path).write_text("".join(f"{s}\t{t}\n" for s, t in pairs), encoding="utf-8")
 
 

@@ -207,14 +207,16 @@ def _lexicographic_matching(tight_rows: np.ndarray, tight_cols: np.ndarray, col:
     unmatched row holds the class column n.
 
     Row i may take a smaller tight column c, not held by a fixed row,
-    exactly when c's holder reaches i along tight arcs (r -> f when r may
-    take a column of f) among the rows not yet fixed: that path and (i, c)
-    close an alternating cycle of tight edges, and turning it keeps the
-    matching perfect and optimal. Row i takes the smallest such column,
-    found by one backward search. A tight edge on no maximum-weight
-    matching closes no such cycle, so the search never takes it.
+    exactly when c is freed by a chain of moves that starts with i freeing
+    its own column: a row not yet fixed that may take a freed column it
+    does not hold moves there and frees its own (the class row frees every
+    column it holds). The moves and (i, c) close an alternating cycle of
+    tight edges, and turning it keeps the matching perfect and optimal.
+    Row i takes the smallest such column, found by one breadth-first search
+    over freed columns. A tight edge on no maximum-weight matching closes
+    no such cycle, so the search never takes it.
     """
-    # a row whose only tight column is its own keeps it: it reaches no other row
+    # a row whose only tight column is its own keeps it: it frees no column another takes
     movable = np.flatnonzero(np.bincount(tight_rows, minlength=m)[:m] > 1).tolist()
     if not movable:
         return col.tolist()
@@ -231,37 +233,27 @@ def _lexicographic_matching(tight_rows: np.ndarray, tight_cols: np.ndarray, col:
     for i in movable:  # rows before i are fixed, and so are their columns
         better = [c for c in options[ptr[i]:ptr[i + 1]] if c < col[i] and owner[c] >= i]
         if better:
-            target = owner[better[0]]
-            succ = {i: i}  # succ[r]: the row whose column r takes on the way to i
-            queue = [i]
-            searched = False  # whether the class column's takers were searched
-            for f in queue:  # breadth first; the loop reads rows appended on the way
-                if f == m:
-                    found = [r for k in range(n) if owner[k] == m for r in takers[at[k]:at[k + 1]]]
-                elif col[f] < n:
-                    found = takers[at[col[f]]:at[col[f] + 1]]
-                elif not searched:  # all holders of the class column share its takers
-                    searched = True
-                    found = [r for r in takers[at[n]:] if col[r] < n]
-                else:
-                    continue
-                for r in found:
-                    if r >= i and r not in succ:
-                        succ[r] = f
-                        queue.append(r)
-                if target in succ:
+            freed = {col[i]: i}  # freed[y]: the row that leaves column y
+            moves = {}  # moves[r]: the column row r takes
+            queue = [col[i]]
+            for y in queue:  # breadth first; the loop reads columns appended on the way
+                for r in takers[at[y]:at[y + 1]]:
+                    if r > i and r not in moves and col[r] != y:
+                        moves[r] = y
+                        for x in [k for k in range(n) if owner[k] == m] if r == m else [col[r]]:
+                            if x not in freed:  # the class column is freed once
+                                freed[x] = r
+                                queue.append(x)
+                if better[0] in freed:
                     break
-            for c in better:
-                if owner[c] in succ:
-                    x = owner[c]
-                    while x != i:
-                        f = succ[x]
-                        col[x] = col[f] if f < m else next(  # any class row column x may take
-                            k for k in options[ptr[x]:ptr[x + 1]] if owner[k] == m)
-                        owner[col[x]] = x
-                        x = f
-                    col[i], owner[c] = c, i
-                    break
+            c = next((c for c in better if c in freed), None)
+            if c is not None:
+                x = freed[c]
+                while x != i:
+                    col[x] = moves[x]
+                    owner[col[x]] = x
+                    x = freed[col[x]]
+                col[i], owner[c] = c, i
     return col[:m]
 
 
@@ -350,10 +342,13 @@ def alignment_to_json(alignment: Alignment) -> str:
 
 def save_alignment(alignment: Alignment, path: str | Path) -> None:
     """Write ``alignment`` as ``load_alignment`` reads it: JSON by the ``.json``
-    name, else ``source<TAB>target<TAB>confidence`` lines."""
+    name, else ``source<TAB>target<TAB>confidence`` lines, refusing ids TSV cannot hold."""
     if is_json_path(path):
         text = alignment_to_json(alignment)
     else:
+        for x in (x for c in alignment.correspondences for x in (c.source, c.target)):
+            if x != x.strip() or "\t" in x or len(x.splitlines()) != 1:
+                raise ValueError(f"{path}: TSV cannot hold the id {x!r}; use a .json path")
         text = "".join(f"{c.source}\t{c.target}\t{c.confidence!r}\n"
                        for c in alignment.correspondences)
     Path(path).write_text(text, encoding="utf-8")

@@ -74,6 +74,18 @@ class TestAlign:
         assert len(lines) == 3
         assert all(len(l.split("\t")) == 3 for l in lines)
 
+    def test_tsv_output_refuses_an_id_tsv_cannot_hold(self, capsys, tmp_path):
+        source = tmp_path / "tabbed.json"
+        source.write_text(json.dumps({"terms": [{"id": "a\tb"}, {"id": "c"}],
+                                      "edges": [{"from": "a\tb", "to": "c", "label": "m"}]}),
+                          encoding="utf-8")
+        out_path = tmp_path / "out.tsv"
+        code, out, err = run(capsys, "align", str(source), str(source), "-o", str(out_path))
+        assert code == 2
+        assert out == ""
+        assert "the id 'a\\tb'; use a .json path" in err
+        assert not out_path.exists()
+
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run(capsys, "align", BIRDS, "missing.json")
         assert code == 2
@@ -246,6 +258,28 @@ class TestBenchGen:
         assert out == ""
         assert "triples format forces label == id" in err
         assert list(tmp_path.iterdir()) == []
+
+    def test_reference_tsv_cannot_hold_exits_2_and_writes_nothing(self, capsys, tmp_path):
+        # the TSV reader would skip a '#tag' source line as a comment
+        source = tmp_path / "tagged.json"
+        source.write_text(json.dumps({"terms": [{"id": "#tag", "label": "hash tag"}, {"id": "x"}],
+                                      "edges": [{"from": "#tag", "to": "x", "label": "points"}]}),
+                          encoding="utf-8")
+        out_ont, out_ref = tmp_path / "m.json", tmp_path / "r.tsv"
+        code, out, err = run(capsys, "bench-gen", str(source), "--mutation", "label-edit",
+                             "--out-ontology", str(out_ont), "--out-reference", str(out_ref))
+        assert code == 2
+        assert out == ""
+        assert "the id '#tag'; use a .json path" in err
+        assert list(tmp_path.iterdir()) == [source]
+        out_ref = tmp_path / "r.json"
+        code, _, _ = run(capsys, "bench-gen", str(source), "--mutation", "label-edit",
+                         "--out-ontology", str(out_ont), "--out-reference", str(out_ref))
+        assert code == 0
+        code, out, _ = run(capsys, "compare", str(source), str(out_ont), str(out_ref))
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert [(r[2], r[6]) for r in rows] == [("1.000000", "2")] * 2  # precision, valid
 
 
 class TestDumpChain:

@@ -1,5 +1,8 @@
+import csv
+import io
 import json
 import random
+import re
 from dataclasses import replace
 from unittest import mock
 
@@ -162,6 +165,13 @@ class TestCompare:
         assert len(lines) == 3
         assert lines[1].startswith("self,baseline-sf,1.000000,1.000000,1.000000,")
 
+    def test_csv_quotes_a_case_label_that_needs_it(self, zoo):
+        reference = ReferenceAlignment(frozenset((t, t) for t in zoo.terms))
+        text = comparison_csv(compare(zoo, zoo, reference, case='a,"b'))
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+        assert [(r[0], len(r)) for r in rows[1:]] == [('a,"b', 10)] * 2
+        assert text.splitlines()[1].startswith('"a,""b",baseline-sf,1.000000,')
+
     def test_end_to_end_support_subset(self):
         from chainalign.chain import build_upmc, exact_matches
 
@@ -316,6 +326,25 @@ class TestReferenceIO:
         assert path.read_text() == "a\tx\nb\ty\n"
         assert load_reference(path) == reference
         assert len(reference) == 2
+
+    @pytest.mark.parametrize("pair, bad", [
+        (("p q", "r\tq"), "r\tq"), (("#tag", "x"), "#tag"), (("a", " x"), " x"),
+        (("a\rb", "x"), "a\rb"), (("a", "x\x85"), "x\x85"), (("", "x"), ""),
+    ])
+    def test_tsv_refuses_an_id_it_would_not_read_back(self, tmp_path, pair, bad):
+        reference = ReferenceAlignment(frozenset({pair, ("b", "y")}))
+        path = tmp_path / "ref.tsv"
+        with pytest.raises(ValueError, match=re.escape(f"the id {bad!r}; use a .json path")):
+            save_reference(reference, path)
+        assert not path.exists()
+        save_reference(reference, tmp_path / "ref.json")
+        assert load_reference(tmp_path / "ref.json") == reference
+
+    def test_tsv_round_trips_inner_spaces_and_a_hash_target(self, tmp_path):
+        reference = ReferenceAlignment(frozenset({("p q", "#tag")}))
+        path = tmp_path / "ref.tsv"
+        save_reference(reference, path)
+        assert load_reference(path) == reference
 
     def test_json_round_trip(self, tmp_path):
         reference = ReferenceAlignment(frozenset({("a", "x"), ("b", "y")}))

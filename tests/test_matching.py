@@ -1,4 +1,5 @@
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -384,6 +385,25 @@ class TestAlignmentSerialization:
         save_alignment(alignment, path)
         assert path.read_text() == "A\tD\t0.97\n"
         assert load_alignment(path).pairs() == {("A", "D")}
+
+    @pytest.mark.parametrize("side", ["source", "target"])
+    @pytest.mark.parametrize("bad", ["a\tb", " a", "a ", "a\nb", "a\u2028b", ""])
+    def test_tsv_refuses_an_id_it_would_not_read_back(self, tmp_path, side, bad):
+        ids = {"source": "B", "target": "E", side: bad}
+        alignment = Alignment([Correspondence("A", "D", 0.5),
+                               Correspondence(ids["source"], ids["target"], 1.0)])
+        path = tmp_path / "out.tsv"
+        with pytest.raises(ValueError, match=re.escape(f"the id {bad!r}; use a .json path")):
+            save_alignment(alignment, path)
+        assert not path.exists()
+        save_alignment(alignment, tmp_path / "out.json")
+        assert load_alignment(tmp_path / "out.json").pairs() == alignment.pairs()
+
+    def test_tsv_round_trips_inner_spaces_and_a_hash_source(self, tmp_path):
+        alignment = Alignment([Correspondence("#tag", "p q", 0.5)])
+        path = tmp_path / "out.tsv"
+        save_alignment(alignment, path)
+        assert load_alignment(path).pairs() == {("#tag", "p q")}
 
     def test_tsv_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "a.tsv"
