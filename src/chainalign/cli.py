@@ -17,8 +17,7 @@ are checked like flags, and output paths are checked (not a directory, in
 an existing directory), before any input file is read. A solve that stops
 at the iteration cap still exits 0, after one ``chainalign: warning:``
 line per such solve on stderr.
-Each subcommand takes only the run flags it reads (``compare --seed`` is
-the one exception: accepted, no effect). An optional JSON config file
+Each subcommand takes only the run flags it reads. An optional JSON config file
 (``--config``) may pre-set exactly those flags, by field name; explicit
 flags win over the file. Flag defaults come from the library config
 dataclasses, so the CLI never drifts from the module-level defaults.
@@ -142,8 +141,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 def build_parser() -> argparse.ArgumentParser:
     # Each run flag once, in a parent parser per group; a subcommand takes only
     # the groups it reads. Defaults stay None so a config file can fill unset flags.
-    config, chain, mode, solve, seed = (
-        argparse.ArgumentParser(add_help=False) for _ in range(5))
+    config, chain, mode, solve = (argparse.ArgumentParser(add_help=False) for _ in range(4))
     config.add_argument("--config",
                         help="JSON file pre-setting this subcommand's run flags by field name")
     chain.add_argument("--gamma", type=float, help="similarity threshold in [0, 1]")
@@ -158,7 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--method", choices=list(METHODS), help="stationary distribution solver")
     solve.add_argument("--min-confidence", type=float,
                        help="drop correspondences scoring below this")
-    seed.add_argument("--seed", type=int, help="RNG seed for bench-gen; no effect on compare")
 
     parser = _Parser(prog="chainalign",
                      description="Align two ontologies via a pairwise Markov chain")
@@ -176,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("reference")
 
     # compare runs both chain modes itself, so it takes no --mode
-    p_cmp = sub.add_parser("compare", parents=[config, chain, solve, seed],
+    p_cmp = sub.add_parser("compare", parents=[config, chain, solve],
                            help="baseline-sf vs edge-confidence on one case")
     p_cmp.add_argument("ontology1")
     p_cmp.add_argument("ontology2")
@@ -184,9 +181,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("-o", "--output", default=None, help="CSV path (default stdout)")
     p_cmp.add_argument("--case", default="case", help="case label for the CSV rows")
 
-    p_gen = sub.add_parser("bench-gen", parents=[config, seed],
+    p_gen = sub.add_parser("bench-gen", parents=[config],
                            help="generate a mutated benchmark case")
     p_gen.add_argument("ontology")
+    p_gen.add_argument("--seed", type=int, help="RNG seed for the mutation")
     p_gen.add_argument("--mutation", choices=list(MUTATIONS), required=True)
     p_gen.add_argument("--rate", type=float, default=0.1, help="drop rate for edge-drop")
     p_gen.add_argument("--out-ontology", default=None,
@@ -216,7 +214,7 @@ def _check_outputs(*paths: str | None) -> None:
 
 def _emit(text: str, output: str | None) -> None:
     if output:
-        Path(output).write_text(text, encoding="utf-8")
+        Path(output).write_bytes(text.encode("utf-8"))
     else:
         sys.stdout.write(text)
 
@@ -279,7 +277,7 @@ def _cmd_bench_gen(args) -> int:
     save_ontology(mutant, out_ont)
     try:
         save_reference(reference, out_ref)
-    except ValueError:  # a refused reference leaves no mutant behind either
+    except (OSError, ValueError):  # a failed reference leaves no mutant behind either
         Path(out_ont).unlink()
         raise
     print(f"wrote {out_ont} and {out_ref}", file=sys.stderr)

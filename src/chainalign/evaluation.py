@@ -157,12 +157,16 @@ def _fmt_metric(value: float | None) -> str:
 
 def comparison_csv(rows: list[CompareRow]) -> str:
     """Plot-ready CSV, one row per (case, mode); a case label that holds a
-    comma, a quote or a line feed is quoted."""
+    comma, a quote or a line feed is quoted. A label with a carriage return
+    is refused, as CSV readers split it where it is left unquoted."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["case", "mode", "precision", "recall", "f_measure", "returned", "valid",
                      "correct", "iterations", "converged"])
     for row in rows:
+        if "\r" in row.case:
+            raise ValueError(f"CSV cannot hold the case label {row.case!r}; "
+                             "drop its carriage return")
         rep = row.report
         writer.writerow([row.case, row.mode, _fmt_metric(rep.precision), _fmt_metric(rep.recall),
                          _fmt_metric(rep.f_measure), rep.returned, rep.valid, rep.correct,
@@ -210,7 +214,7 @@ def save_reference(reference: ReferenceAlignment, path: str | Path) -> None:
             for x in (s, t):  # s first, so a '#' source is the id named
                 if x != x.strip() or "\t" in x or len(x.splitlines()) != 1 or s.startswith("#"):
                     raise ValueError(f"{path}: TSV cannot hold the id {x!r}; use a .json path")
-        Path(path).write_text("".join(f"{s}\t{t}\n" for s, t in pairs), encoding="utf-8")
+        Path(path).write_bytes("".join(f"{s}\t{t}\n" for s, t in pairs).encode("utf-8"))
 
 
 _ALPHABET = "abcdefghijklmnopqrstuvwxyz"

@@ -7,12 +7,14 @@ pair of two label lists at once: the Wagner-Fischer recurrence (J. ACM,
 1974) run as one step per character of the left-hand labels, over all
 pairs together, in blocks that keep each working array near 2^18 int32
 cells. Its DP columns are the arrays' leading axis, so each column of a
-block is one contiguous row over all its pairs. Given a cutoff K it
-returns min(distance, K + 1), Ukkonen's cut-off distance (Inf. & Control,
-1985): the bag distance of every pair (Bartolini, Ciaccia and Patella,
-SPIRE 2002), an exact lower bound on the edit distance computed from
-character counts as one matrix product, rules out the pairs past K, and
-only the rest run through the recurrence, as a list of pairs.
+block is one contiguous row over all its pairs. One blocked driver runs
+it over either a grid, every pair of the two lists, or a list of pairs.
+Given a cutoff K it returns min(distance, K + 1), Ukkonen's cut-off
+distance (Inf. & Control, 1985): the bag distance of every pair
+(Bartolini, Ciaccia and Patella, SPIRE 2002), an exact lower bound on
+the edit distance computed from character counts as one matrix product,
+rules out the pairs past K, and only the rest run through the
+recurrence, as a list of pairs.
 ``label_distances`` normalizes two label lists and scores each distinct
 pair once through the matrix form. ``similarity_of_distance`` maps a
 distance L to a score sigma in (0, 1]:
@@ -39,6 +41,7 @@ labels or label sets.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Collection, Sequence
@@ -93,9 +96,9 @@ def levenshtein(a: str, b: str) -> int:
     return previous[len(b)]
 
 
-# cells per block of each working array: the grid's (longest b + 1, rows,
-# len(b)) DP columns, a pair list's (longest b + 1, pairs) and the bag
-# bound's (rows, len(b)) and (tokens, rows)
+# cells per block of each working array: the DP columns, (longest b + 1,
+# rows, len(b)) for a grid and (longest b + 1, pairs) for a pair list, and
+# the bag bound's (rows, len(b)) and (tokens, rows)
 _BLOCK_CELLS = 1 << 18
 
 
@@ -112,7 +115,8 @@ def _code_points(labels: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _wagner_fischer(steps_a: np.ndarray, columns_b: np.ndarray):
-    """The Wagner-Fischer recurrence over a batch of label pairs.
+    """The Wagner-Fischer recurrence over a batch of label pairs, a block
+    of a grid or of a pair list as ``_distances`` hands them.
 
     ``steps_a[k - 1]`` holds character k of each pair's left-hand label and
     ``columns_b[j - 1]`` character j of its right-hand one, both broadcast
@@ -145,39 +149,28 @@ def _wagner_fischer(steps_a: np.ndarray, columns_b: np.ndarray):
         yield k, prev
 
 
-def _grid_distances(points_a, len_a, points_b, len_b, out: np.ndarray) -> None:
-    """Every pair's distance into ``out``, in blocks of left-hand labels
-    whose working arrays (longest b + 1, rows, len(b)) keep near
-    ``_BLOCK_CELLS``."""
-    # character j of every b label, against DP column j + 1
-    columns_b = np.ascontiguousarray(points_b.T)[:, None, :]
-    pairs = np.arange(len(len_b))
-    block = max(1, _BLOCK_CELLS // (len(len_b) * (len(columns_b) + 1)))
-    for start in range(0, len(len_a), block):
-        rows_a = len_a[start:start + block]
-        dist = out[start:start + block]
-        dist[rows_a == 0] = len_b
-        steps_a = points_a[start:start + block, :rows_a.max()].T[:, :, None]
-        for k, column in _wagner_fischer(steps_a, columns_b):
-            done = np.flatnonzero(rows_a == k)
-            dist[done] = column[len_b, done[:, None], pairs]
-
-
-def _pair_distances(points_a, len_a, points_b, len_b, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """The distance of left-hand label i[p] to right-hand label j[p], for
-    every p, in blocks of pairs whose working arrays keep near
-    ``_BLOCK_CELLS``."""
-    out = len_b[j].astype(np.int32)  # the distance from an empty label
-    width = int(out.max(initial=0)) + 1
-    block = max(1, _BLOCK_CELLS // width)
+def _distances(points_a, len_a, points_b, len_b, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The distance of left-hand label i to right-hand label j, over ``i``
+    and ``j`` broadcast together: two (pairs,) arrays for a pair list, or
+    (rows, 1) against (1, columns) for a grid. ``i`` spans the first axis,
+    along which blocks run, each keeping its working arrays (longest b + 1,
+    *block) near ``_BLOCK_CELLS``."""
+    out = np.empty(np.broadcast_shapes(i.shape, j.shape), dtype=np.int32)
+    out[:] = len_b[j]  # the distance from an empty label
+    block = max(1, _BLOCK_CELLS // ((points_b.shape[1] + 1) * math.prod(out.shape[1:])))
     for start in range(0, len(out), block):
-        i_block, j_block = i[start:start + block], j[start:start + block]
+        i_block = i[start:start + block]
+        j_block = j[start:start + block] if len(j) == len(out) else j
         rows_a, rows_b = len_a[i_block], len_b[j_block]
         dist = out[start:start + block]
         steps_a = points_a.T[:rows_a.max(), i_block]
-        for k, column in _wagner_fischer(steps_a, points_b.T[:width - 1, j_block]):
+        # copied, as a gather's own layout strides the pairs axis
+        columns_b = np.ascontiguousarray(points_b.T[:rows_b.max(), j_block])
+        # each pair's entry of DP column len(b), in the flattened working array
+        ends = rows_b * dist.size + np.arange(dist.size).reshape(dist.shape)
+        for k, column in _wagner_fischer(steps_a, columns_b):
             done = np.flatnonzero(rows_a == k)
-            dist[done] = column[rows_b[done], done]
+            dist[done] = column.reshape(-1)[ends[done]]
     return out
 
 
@@ -234,10 +227,11 @@ def levenshtein_matrix(a: Sequence[str], b: Sequence[str],
     (len(a), len(b)); with ``cutoff``, a non-negative integer,
     min(distance, cutoff + 1).
 
-    Without a cutoff, or with one no less than the longest label, every
-    pair runs through the recurrence as one grid. Otherwise only the pairs
-    whose bag distance (``_bag_distances``), a lower bound, is at most the
-    cutoff run through it, as a pair list; the others get cutoff + 1.
+    Both arms run the recurrence through ``_distances``. Without a cutoff,
+    or with one no less than the longest label, every pair runs through it
+    as one grid. Otherwise only the pairs whose bag distance
+    (``_bag_distances``), a lower bound, is at most the cutoff run through
+    it, as a pair list; the others get cutoff + 1.
     """
     if cutoff is not None and not (isinstance(cutoff, (int, np.integer)) and cutoff >= 0):
         raise ValueError(f"cutoff must be a non-negative integer, got {cutoff!r}")
@@ -247,14 +241,14 @@ def levenshtein_matrix(a: Sequence[str], b: Sequence[str],
     points_a, len_a = _code_points(a)
     points_b, len_b = _code_points(b)
     if cutoff is None or cutoff >= max(len_a.max(), len_b.max()):
-        _grid_distances(points_a, len_a, points_b, len_b, out)
-        return out
+        return _distances(points_a, len_a, points_b, len_b,
+                          np.arange(len(a))[:, None], np.arange(len(b))[None])
     for start, bound in _bag_distances(points_a, len_a, points_b, len_b):
         i, j = np.nonzero(bound <= cutoff)
         dist = out[start:start + len(bound)]
         dist[:] = cutoff + 1
         dist[i, j] = np.minimum(
-            _pair_distances(points_a, len_a, points_b, len_b, start + i, j), cutoff + 1)
+            _distances(points_a, len_a, points_b, len_b, start + i, j), cutoff + 1)
     return out
 
 

@@ -351,7 +351,7 @@ def save_alignment(alignment: Alignment, path: str | Path) -> None:
                 raise ValueError(f"{path}: TSV cannot hold the id {x!r}; use a .json path")
         text = "".join(f"{c.source}\t{c.target}\t{c.confidence!r}\n"
                        for c in alignment.correspondences)
-    Path(path).write_text(text, encoding="utf-8")
+    Path(path).write_bytes(text.encode("utf-8"))
 
 
 def load_alignment(path: str | Path) -> Alignment:

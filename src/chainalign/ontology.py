@@ -216,10 +216,8 @@ def save_ontology(g: OntologyGraph, path: str | Path) -> None:
     """
     path = Path(path)
     if is_json_path(path):
-        path.write_text(
-            json.dumps(to_json_dict(g), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        text = json.dumps(to_json_dict(g), indent=2, sort_keys=True) + "\n"
+        path.write_bytes(text.encode("utf-8"))
         return
     renamed = sorted(t.id for t in g.terms.values() if t.label != t.id)
     if renamed:
@@ -237,4 +235,4 @@ def save_ontology(g: OntologyGraph, path: str | Path) -> None:
     isolated = sorted(set(g.terms) - {e.source for e in g.edges} - {e.target for e in g.edges})
     if isolated:
         raise OntologyError(f"triples format cannot hold isolated terms: {', '.join(isolated)}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))

@@ -3,14 +3,15 @@ import re
 
 import pytest
 
+from chainalign import cli
 from chainalign.chain import SolverConfig
 from chainalign.cli import RunConfig, build_parser, execute, resolve_config
-from chainalign.evaluation import load_reference, synth_mutate
+from chainalign.evaluation import ReferenceAlignment, load_reference, save_reference, synth_mutate
 from chainalign.lexical import SimilarityConfig
-from chainalign.matching import load_alignment
-from chainalign.ontology import load_ontology, to_json_dict
+from chainalign.matching import Alignment, Correspondence, load_alignment, save_alignment
+from chainalign.ontology import load_ontology, save_ontology, to_json_dict
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, make_graph
 
 BIRDS = str(DATA_DIR / "birds.json")
 ZOO = str(DATA_DIR / "zoo.json")
@@ -32,7 +33,7 @@ CHAIN_FLAGS = {"--gamma", "--label-norm", "--norm"}
 SOLVE_FLAGS = {"--epsilon", "--max-iters", "--damping", "--method", "--min-confidence"}
 RUN_FLAGS_TAKEN = {
     "align": CHAIN_FLAGS | {"--mode"} | SOLVE_FLAGS,
-    "compare": CHAIN_FLAGS | SOLVE_FLAGS | {"--seed"},
+    "compare": CHAIN_FLAGS | SOLVE_FLAGS,
     "dump-chain": CHAIN_FLAGS | {"--mode"},
     "bench-gen": {"--seed"},
 }
@@ -196,11 +197,20 @@ class TestCompare:
         outs = []
         for i in range(2):
             path = tmp_path / f"cmp{i}.csv"
-            code, _, _ = run(capsys, "compare", ZOO, ZOO, ref,
-                             "-o", str(path), "--seed", "9")
+            code, _, _ = run(capsys, "compare", ZOO, ZOO, ref, "-o", str(path))
             assert code == 0
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_case_label_with_a_carriage_return_exits_2(self, capsys, tmp_path):
+        ref = write_identity_reference(tmp_path, "zoo.json")
+        out_path = tmp_path / "cmp.csv"
+        code, out, err = run(capsys, "compare", ZOO, ZOO, ref, "-o", str(out_path),
+                             "--case", "x\ry")
+        assert code == 2
+        assert out == ""
+        assert "'x\\ry'" in err and "carriage return" in err
+        assert not out_path.exists()
 
 
 class TestBenchGen:
@@ -280,6 +290,64 @@ class TestBenchGen:
         assert code == 0
         rows = [line.split(",") for line in out.splitlines()[1:]]
         assert [(r[2], r[6]) for r in rows] == [("1.000000", "2")] * 2  # precision, valid
+
+    def test_reference_that_cannot_be_written_leaves_no_mutant(self, capsys, tmp_path,
+                                                               monkeypatch):
+        def disk_full(reference, path):
+            raise OSError(28, "No space left on device", str(path))
+
+        monkeypatch.setattr(cli, "save_reference", disk_full)
+        code, out, err = run(capsys, "bench-gen", ZOO, "--mutation", "label-edit",
+                             "--out-ontology", str(tmp_path / "m.json"),
+                             "--out-reference", str(tmp_path / "r.tsv"))
+        assert code == 2
+        assert out == ""
+        assert "No space left on device" in err
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestUnencodableText:
+    """Every writer encodes its whole text before it opens its file, so an
+    id UTF-8 cannot encode (a lone surrogate) leaves no file behind."""
+
+    @pytest.mark.parametrize("name, write", [
+        ("a.tsv", lambda path: save_alignment(
+            Alignment([Correspondence("\udc80", "a", 1.0)]), path)),
+        ("r.tsv", lambda path: save_reference(
+            ReferenceAlignment(frozenset({("\udc80", "a")})), path)),
+        ("g.txt", lambda path: save_ontology(
+            make_graph(["\udc80", "b"], [("\udc80", "b", "r")]), path)),
+    ], ids=["alignment", "reference", "ontology"])
+    def test_library_writer_leaves_no_file(self, tmp_path, name, write):
+        with pytest.raises(UnicodeEncodeError):
+            write(tmp_path / name)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", [
+        "align", "compare", "bench-gen mutant", "bench-gen reference"])
+    def test_command_exits_2_and_leaves_no_file(self, capsys, tmp_path, command):
+        source = tmp_path / "g.json"
+        source.write_text(json.dumps({
+            "terms": [{"id": "\udc80"}, {"id": "b"}],
+            "edges": [{"from": "\udc80", "to": "b", "label": "r"}]}), encoding="utf-8")
+        ref = tmp_path / "ref.json"
+        ref.write_text(json.dumps({"correspondences": [
+            {"source": "b", "target": "b", "confidence": 1.0}]}), encoding="utf-8")
+        out = str(tmp_path / "out")
+        gen = ["bench-gen", str(source), "--mutation", "label-edit"]
+        argv = {
+            "align": ["align", str(source), str(source), "-o", out + ".tsv"],
+            "compare": ["compare", str(source), str(source), str(ref),
+                        "--case", "\udc80", "-o", out + ".csv"],
+            "bench-gen mutant": gen + ["--out-ontology", out + ".txt",
+                                       "--out-reference", out + ".json"],
+            "bench-gen reference": gen + ["--out-ontology", out + ".json",
+                                          "--out-reference", out + ".tsv"],
+        }[command]
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "surrogates not allowed" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["g.json", "ref.json"]
 
 
 class TestDumpChain:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from chainalign import pipeline
 from chainalign.chain import SolverConfig, SolverError
 from chainalign.evaluation import (
+    CompareRow,
     ReferenceAlignment,
     UNDEFINED,
     compare,
@@ -171,6 +172,20 @@ class TestCompare:
         rows = list(csv.reader(io.StringIO(text, newline="")))
         assert [(r[0], len(r)) for r in rows[1:]] == [('a,"b', 10)] * 2
         assert text.splitlines()[1].startswith('"a,""b",baseline-sf,1.000000,')
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.text(alphabet='ab ,"\r\n\x00\ud800', max_size=6))
+    def test_every_accepted_case_label_reads_back(self, label):
+        rows = [CompareRow(label, mode, evaluate({("a", "a")}, {("a", "a")}), 3, True)
+                for mode in ("baseline-sf", "edge-confidence")]
+        if "\r" in label:
+            with pytest.raises(ValueError, match="carriage return"):
+                comparison_csv(rows)
+            return
+        text = comparison_csv(rows)
+        read = list(csv.reader(io.StringIO(text, newline="")))
+        assert [(r[0], r[1], len(r)) for r in read[1:]] == [
+            (label, "baseline-sf", 10), (label, "edge-confidence", 10)]
 
     def test_end_to_end_support_subset(self):
         from chainalign.chain import build_upmc, exact_matches

@@ -141,6 +141,30 @@ class TestLevenshteinMatrix:
         assert got.tolist() == [[levenshtein(x, y) for y in b] for x in a]
 
 
+class TestDistances:
+    """``_distances``, the one blocked driver, over a grid and over the same
+    pairs as a flat list."""
+
+    labels = st.lists(st.text(alphabet="ab\x00\ud800é", max_size=9), min_size=1, max_size=5)
+
+    @settings(max_examples=80, deadline=None)
+    @given(labels, labels, st.integers(1, 1 << 9))
+    # one row: j, shaped (1, columns), is as long as the grid
+    @example(["ab"], ["", "b\x00", "\ud800a"], 1)
+    @example(["", "a"], ["ba"], 1)
+    def test_grid_and_pair_list_agree(self, a, b, block_cells):
+        points_a, len_a = lexical._code_points(a)
+        points_b, len_b = lexical._code_points(b)
+        rows, columns = np.arange(len(a))[:, None], np.arange(len(b))[None]
+        i, j = (x.ravel() for x in np.broadcast_arrays(rows, columns))
+        with mock.patch.object(lexical, "_BLOCK_CELLS", block_cells):
+            grid = lexical._distances(points_a, len_a, points_b, len_b, rows, columns)
+            pairs = lexical._distances(points_a, len_a, points_b, len_b, i, j)
+        assert grid.shape == (len(a), len(b)) and pairs.shape == (len(a) * len(b),)
+        assert grid.ravel().tolist() == pairs.tolist()
+        assert grid.tolist() == [[levenshtein(x, y) for y in b] for x in a]
+
+
 class TestCutoff:
     """``levenshtein_matrix`` with a cutoff, and the label-set weights that
     use it, against the full distance of every pair."""
