@@ -8,8 +8,10 @@ terms, and the whole chain is one n1*n2 x n1*n2 scipy CSR matrix: state
 and ontology 2 has an edge y -> y' whose label sets are lexically
 compatible. Its weight is the thresholded reciprocal similarity of the
 closest label pair across the two label sets (``lexical.label_set_weights``,
-computed once per pair of label sets); ``build_upmc`` spreads those
-weights over the adjacency entries that carry the sets by sparse indexing.
+computed once per pair of label sets). ``build_upmc`` spreads those
+weights over the adjacency entries that carry the sets: each entry of
+ontology 1 is paired with the entries of ontology 2 that its set weighs
+nonzero against, and the pairs go into one CSR construction.
 
 The two chain modes share that build, and ``pipeline.build_chain`` takes
 it to either one. ``edge-confidence`` uses the chain as built.
@@ -40,11 +42,12 @@ rounds to the same float as 1/k.
 The ergodic damping transform P' = aP + (1-a)I removes periodicity (it
 preserves the stationary distribution of irreducible chains) and should
 be applied before either solver. ``normalize`` applies it straight
-after it rescales the rows, as sparse algebra: the row shares, on the
-raw chain's pattern, scaled by a, plus a diagonal matrix that carries
-(1-a) in every row and a more in the empty rows (their self-loops).
-Entries that come to 0.0 are dropped. ``ergodic_transform`` damps an
-already stochastic chain through the same helper.
+after it rescales the rows, as one sparse sum of two matrices built
+straight from arrays: the row shares scaled by a, on the raw chain's
+pattern, and the diagonal, which carries (1-a) in every row and a more
+in the empty rows (their self-loops). Entries that come to 0.0 are
+dropped. ``ergodic_transform`` damps an already stochastic chain through
+the same helper.
 
 The stationary distribution comes from either power iteration from the
 lexical initial distribution, or a direct sparse LU solve of
@@ -56,7 +59,9 @@ has one closed class; it counts the closed classes first and raises
 chains). It then pins pi to 1 at the closed class's first state r and
 solves the other n - 1 equations for the other n - 1 entries, a system
 that keeps the sparsity of P; pi is normalized afterwards. The system is
-factored in a product order (``product_order``): each ontology's term
+factored in a product order (``product_order``), in which it is
+assembled straight from P's arrays in one CSC construction
+(``_pinned_system``): each ontology's term
 graph, read off the chain, is ordered by minimum degree, and state (i, j)
 is numbered p1[i] * n2 + p2[j]. A pair chain lies inside the product of
 its two term graphs, so that order keeps the LU's fill within the blocks
@@ -64,6 +69,7 @@ where ontology 1's own filled graph has an entry.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -205,16 +211,39 @@ class SolveResult:
 
 
 def _edges(g: OntologyGraph, scale: int):
-    """Adjacency entries as arrays: source and target offsets (term index
-    times ``scale``) and label-set ids; and the label sets in id order."""
+    """Adjacency entries as arrays, sorted by source and then target term:
+    source and target offsets (term index times ``scale``) and label-set
+    ids; and the label sets in id order."""
     pos = {t: i for i, t in enumerate(g.term_ids)}
-    set_ids: dict[frozenset, int] = {}
-    src, dst, sid = [], [], []
-    for (x, x2), labels in g.adjacency.items():
-        src.append(pos[x] * scale)
-        dst.append(pos[x2] * scale)
-        sid.append(set_ids.setdefault(frozenset(labels), len(set_ids)))
-    return np.array(src), np.array(dst), np.array(sid, dtype=np.intp), list(set_ids)
+    # both endpoints of every entry in one gather, as (entries, 2)
+    ends = np.fromiter(map(pos.__getitem__, itertools.chain.from_iterable(g.adjacency)),
+                       dtype=np.intp, count=2 * len(g.adjacency)).reshape(-1, 2)
+    sets = list(map(frozenset, g.adjacency.values()))
+    distinct = list(dict.fromkeys(sets))
+    ids = dict(zip(distinct, range(len(distinct))))
+    sid = np.fromiter(map(ids.__getitem__, sets), dtype=np.intp, count=len(sets))
+    order = np.lexsort((ends[:, 1], ends[:, 0]))
+    return ends[order, 0] * scale, ends[order, 1] * scale, sid[order], distinct
+
+
+def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The ranges starts[k], ..., starts[k] + sizes[k] - 1, one after another."""
+    out = np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
+    out += np.arange(len(out))
+    return out
+
+
+def _partners(weight: np.ndarray, sid2: np.ndarray):
+    """Each g1 label set's partners: the g2 entries whose label set it
+    weighs nonzero against. Returns set, entry and weight of every such
+    pair, sorted by set and then entry."""
+    s, t = np.divmod(np.flatnonzero(weight > 0), weight.shape[1])
+    count = np.bincount(sid2, minlength=weight.shape[1])
+    # the entries of set t, for each (s, t)
+    entry = np.argsort(sid2, kind="stable")[_ranges(np.cumsum(count)[t] - count[t], count[t])]
+    owner = np.repeat(s, count[t])
+    order = np.lexsort((entry, owner))
+    return owner[order], entry[order], np.repeat(weight[s, t], count[t])[order]
 
 
 def build_upmc(
@@ -225,8 +254,11 @@ def build_upmc(
     """Construct the unnormalized edge-confidence chain for two ontologies.
 
     Every adjacency entry carries one label set, so each pair of entries
-    takes the weight of its two label sets (``label_set_weights``): the
-    sets' weight matrix indexed by the entries' set ids on both sides.
+    takes the weight of its two label sets (``label_set_weights``). Each g1
+    entry, in (source, target) order, is paired with its set's partners
+    (``_partners``), the g2 entries in (source, target) order too. A stable
+    sort by row then leaves every row's columns sorted, and the entries go
+    into one CSR construction.
     """
     cfg = cfg or SimilarityConfig()
     if not g1.terms or not g2.terms:
@@ -241,15 +273,29 @@ def build_upmc(
     if not sets1 or not sets2:
         return PairwiseChain(sparse.csr_matrix((n, n)), n2=n2)
 
-    weight = label_set_weights(sets1, sets2, cfg)
-    # row e1, column e2: the weight of g1 entry e1 paired with g2 entry e2
-    pairs = sparse.csr_matrix(weight)[sid1][:, sid2].tocoo()
-    e1, e2 = pairs.row, pairs.col
+    owner, partner, weight = _partners(label_set_weights(sets1, sets2, cfg), sid2)
+    count = np.bincount(owner, minlength=len(sets1))
+    made = count[sid1]  # the pairs each g1 entry makes
+    # the index width SciPy stores; the arrays of one entry per pair are
+    # built in it, and freed once read, to keep the peak low at scale
+    index = np.int32 if max(n, made.sum()) <= np.iinfo(np.int32).max else np.int64
+    e1 = np.repeat(np.arange(len(sid1), dtype=index), made)
+    at = _ranges(np.cumsum(count)[sid1] - made, made)
+    e2, data = partner.astype(index)[at], weight[at]
+    del at
+    rows = src1.astype(index)[e1]
+    rows += src2.astype(index)[e2]
+    cols = dst1.astype(index)[e1]
+    cols += dst2.astype(index)[e2]
+    del e1, e2
     # adjacency keys are unique on each side, so no (row, col) repeats
-    matrix = sparse.csr_matrix(
-        (pairs.data, (src1[e1] + src2[e2], dst1[e1] + dst2[e2])), shape=(n, n)
-    )
-    return PairwiseChain(matrix, n2=n2)
+    order = np.argsort(rows, kind="stable")
+    indptr = np.zeros(n + 1, dtype=index)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    del rows
+    data = data[order]
+    cols = cols[order]
+    return PairwiseChain(sparse.csr_matrix((data, cols, indptr), shape=(n, n)), n2=n2)
 
 
 def exact_matches(chain: PairwiseChain) -> PairwiseChain:
@@ -280,10 +326,9 @@ def normalize(chain: PairwiseChain, norm_mode: str = NORM_COMPLEMENT,
     _check_norm_mode(norm_mode)
     _check_damping(a)
     m = chain.matrix
-    p = sparse.csr_matrix((_shares(m, norm_mode), m.indices, m.indptr), shape=m.shape)
     # empty rows become self-loops of weight 1
-    return PairwiseChain(_damped(p, a, loops=np.diff(m.indptr) == 0), stochastic=True,
-                         n2=chain.n2, damping=a)
+    return PairwiseChain(_damped(m, _shares(m, norm_mode), a, loops=np.diff(m.indptr) == 0),
+                         stochastic=True, n2=chain.n2, damping=a)
 
 
 def _shares(m: sparse.csr_matrix, norm_mode: str) -> np.ndarray:
@@ -299,11 +344,17 @@ def _shares(m: sparse.csr_matrix, norm_mode: str) -> np.ndarray:
     return temp / np.bincount(rows, temp, n)[rows]
 
 
-def _damped(p: sparse.csr_matrix, a: float, loops: np.ndarray) -> sparse.csr_matrix:
-    """aP + (1-a)I, where P is ``p`` plus a self-loop of weight 1 on every
-    row where ``loops`` is set. Sparse addition keeps columns sorted and
-    drops the entries that come to 0.0."""
-    return (p if a == 1.0 else a * p) + sparse.diags(a * loops + (1.0 - a), format="csr")
+def _damped(m: sparse.csr_matrix, data: np.ndarray, a: float,
+            loops: np.ndarray) -> sparse.csr_matrix:
+    """aP + (1-a)I, where P holds ``data`` on m's pattern plus a self-loop
+    of weight 1 on every row where ``loops`` is set. aP and the diagonal,
+    a * loop + (1-a) in each row, are each built straight from arrays;
+    their sparse sum keeps columns sorted and drops the entries that come
+    to 0.0."""
+    n = m.shape[0]
+    p = sparse.csr_matrix((data if a == 1.0 else data * a, m.indices, m.indptr), shape=m.shape)
+    return p + sparse.csr_matrix((a * loops + (1.0 - a), np.arange(n), np.arange(n + 1)),
+                                 shape=m.shape)
 
 
 def ergodic_transform(chain: PairwiseChain, a: float) -> PairwiseChain:
@@ -314,7 +365,8 @@ def ergodic_transform(chain: PairwiseChain, a: float) -> PairwiseChain:
     _check_damping(a)
     if a == 1.0:
         return chain
-    return PairwiseChain(_damped(chain.matrix, a, np.zeros(len(chain))), stochastic=True,
+    m = chain.matrix
+    return PairwiseChain(_damped(m, m.data, a, np.zeros(len(chain))), stochastic=True,
                          n2=chain.n2, damping=chain.damping * a)
 
 
@@ -356,11 +408,12 @@ def iterate(chain: PairwiseChain, pi0: np.ndarray, cfg: SolverConfig | None = No
     # of P, as the CSR matvec of a transposed copy and pi @ P do, so the
     # floats are the same.
     transposed = chain.matrix.T
+    step = np.empty_like(pi)
     iterations = 0
     converged = False
     for iterations in range(1, cfg.max_iters + 1):
         nxt = transposed @ pi
-        delta = np.max(np.abs(nxt - pi))
+        delta = np.abs(np.subtract(nxt, pi, out=step), out=step).max()
         pi = nxt
         if delta <= cfg.epsilon * chain.damping:
             converged = True
@@ -408,6 +461,31 @@ def _minimum_degree_order(src: np.ndarray, dst: np.ndarray, size: int) -> np.nda
          (np.r_[src, nodes], np.r_[dst, nodes])), shape=(size, size))
     position = splu(graph, permc_spec="MMD_AT_PLUS_A").perm_c
     return np.argsort(position)
+
+
+def _pinned_system(m: sparse.csr_matrix, order: np.ndarray) -> sparse.csc_matrix:
+    """I - P^T without the row and column of the one state missing from
+    ``order``, its rows and columns permuted alike into ``order``, as one
+    CSC construction. State u sits at position at[u]; row u of I - P
+    becomes column at[u], its entry in column v row at[v]: -P[u, v] off the
+    diagonal and 1 - P[u, u] on it. Entries that come to 0.0 are dropped,
+    as sparse subtraction drops them."""
+    n = m.shape[0]
+    at = np.full(n, -1)
+    at[order] = np.arange(n - 1)
+    rows = np.repeat(np.arange(n), np.diff(m.indptr))
+    on = m.indices == rows
+    diagonal = np.zeros(n)
+    diagonal[rows[on]] = m.data[on]
+    column = np.r_[at[rows[~on]], np.arange(n - 1)]
+    row = np.r_[at[m.indices[~on]], np.arange(n - 1)]
+    value = np.r_[-m.data[~on], 1.0 - diagonal[order]]
+    kept = (column >= 0) & (row >= 0) & (value != 0.0)
+    column, row, value = column[kept], row[kept], value[kept]
+    by_column = np.argsort(column * (n - 1) + row)
+    indptr = np.zeros(n, dtype=np.intp)
+    np.cumsum(np.bincount(column, minlength=n - 1), out=indptr[1:])
+    return sparse.csc_matrix((value[by_column], row[by_column], indptr), shape=(n - 1, n - 1))
 
 
 def steady_state(chain: PairwiseChain) -> SolveResult:
@@ -463,16 +541,19 @@ def steady_state(chain: PairwiseChain) -> SolveResult:
     r = int(np.argmin(left[labels]))
     order = product_order(chain)
     order = order[order != r]
-    # subtracting drops the 0.0 entries
-    system = sparse.identity(n - 1, format="csc") - m[order][:, order].T
+    system = _pinned_system(m, order)
     try:
         lu = splu(system, permc_spec="NATURAL", diag_pivot_thresh=0.5,
                   options=dict(SymmetricMode=True))
     except RuntimeError as exc:  # a weight too small to register against 1
         raise SolverError(f"stationary system is numerically singular ({exc}); {_REMEDY}") from exc
+    # the right-hand side: P's row r, read in ``order``
+    rhs = np.zeros(n)
+    row_r = slice(m.indptr[r], m.indptr[r + 1])
+    rhs[m.indices[row_r]] = m.data[row_r]
     pi = np.empty(n)
     pi[r] = 1.0
-    pi[order] = lu.solve(m[r].toarray()[0, order])
+    pi[order] = lu.solve(rhs[order])
     pi = pi / pi.sum()
     lowest = pi.min()
     if lowest < -1e-9:

@@ -14,7 +14,8 @@ the name ends in ``.json``, the file kind's text format otherwise.
 A data error is malformed input, an input path that cannot be read, an
 output path that cannot be written, or a bad setting. Config-file values
 are checked like flags, and output paths are checked (not a directory, in
-an existing directory), before any input file is read. A solve that stops
+an existing directory), as is ``compare``'s case label (no carriage
+return), before any input file is read. A solve that stops
 at the iteration cap still exits 0, after one ``chainalign: warning:``
 line per such solve on stderr.
 Each subcommand takes only the run flags it reads. An optional JSON config file
@@ -42,6 +43,7 @@ from .chain import (
 from .evaluation import (
     MUTATIONS,
     _fmt_metric,
+    check_case_label,
     comparison_csv,
     compare,
     evaluate,
@@ -51,7 +53,7 @@ from .evaluation import (
 )
 from .lexical import LabelNorm, SimilarityConfig
 from .matching import alignment_to_json, load_alignment, save_alignment
-from .ontology import load_ontology, save_ontology
+from .ontology import load_ontology, save_ontology, write_text
 from .pipeline import align, build_chain
 
 EXIT_OK = 0
@@ -214,7 +216,7 @@ def _check_outputs(*paths: str | None) -> None:
 
 def _emit(text: str, output: str | None) -> None:
     if output:
-        Path(output).write_bytes(text.encode("utf-8"))
+        write_text(output, text)
     else:
         sys.stdout.write(text)
 
@@ -255,6 +257,7 @@ def _cmd_eval(args) -> int:
 def _cmd_compare(args) -> int:
     cfg = resolve_config(args)
     _check_outputs(args.output)
+    check_case_label(args.case)
     g1 = load_ontology(args.ontology1)
     g2 = load_ontology(args.ontology2)
     reference = load_reference(args.reference)

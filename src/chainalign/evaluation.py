@@ -20,7 +20,7 @@ from pathlib import Path
 from .chain import BASELINE_SF, EDGE_CONFIDENCE, SolverConfig
 from .lexical import SimilarityConfig
 from .matching import Alignment, Correspondence, load_alignment, save_alignment
-from .ontology import LabeledEdge, OntologyGraph, Term, is_json_path
+from .ontology import LabeledEdge, OntologyGraph, Term, is_json_path, write_text
 from .pipeline import align, build_shared
 
 MUTATIONS = ("label-edit", "label-scramble", "edge-drop", "label-case")
@@ -155,18 +155,23 @@ def _fmt_metric(value: float | None) -> str:
     return UNDEFINED if value is None else f"{value:.6f}"
 
 
+def check_case_label(case: str) -> None:
+    """Refuse a case label that ``comparison_csv`` cannot write: one with a
+    carriage return, which CSV readers split where it is left unquoted."""
+    if "\r" in case:
+        raise ValueError(f"CSV cannot hold the case label {case!r}; drop its carriage return")
+
+
 def comparison_csv(rows: list[CompareRow]) -> str:
     """Plot-ready CSV, one row per (case, mode); a case label that holds a
     comma, a quote or a line feed is quoted. A label with a carriage return
-    is refused, as CSV readers split it where it is left unquoted."""
+    is refused (``check_case_label``)."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["case", "mode", "precision", "recall", "f_measure", "returned", "valid",
                      "correct", "iterations", "converged"])
     for row in rows:
-        if "\r" in row.case:
-            raise ValueError(f"CSV cannot hold the case label {row.case!r}; "
-                             "drop its carriage return")
+        check_case_label(row.case)
         rep = row.report
         writer.writerow([row.case, row.mode, _fmt_metric(rep.precision), _fmt_metric(rep.recall),
                          _fmt_metric(rep.f_measure), rep.returned, rep.valid, rep.correct,
@@ -214,7 +219,7 @@ def save_reference(reference: ReferenceAlignment, path: str | Path) -> None:
             for x in (s, t):  # s first, so a '#' source is the id named
                 if x != x.strip() or "\t" in x or len(x.splitlines()) != 1 or s.startswith("#"):
                     raise ValueError(f"{path}: TSV cannot hold the id {x!r}; use a .json path")
-        Path(path).write_bytes("".join(f"{s}\t{t}\n" for s, t in pairs).encode("utf-8"))
+        write_text(path, "".join(f"{s}\t{t}\n" for s, t in pairs))
 
 
 _ALPHABET = "abcdefghijklmnopqrstuvwxyz"

@@ -41,6 +41,7 @@ labels or label sets.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -265,10 +266,24 @@ def edit_similarity(a: str, b: str) -> float:
 
 def _distinct(labels: Sequence[str], cfg: SimilarityConfig) -> tuple[list[str], np.ndarray]:
     """The distinct normalized labels in first-seen order, and each label's
-    index among them."""
-    ids: dict[str, int] = {}
-    inverse = [ids.setdefault(normalize_label(s, cfg), len(ids)) for s in labels]
-    return list(ids), np.array(inverse, dtype=np.intp)
+    index among them.
+
+    Folding runs once over all the labels joined by NUL. ``casefold`` maps
+    each character without regard to its neighbours, and neither it nor
+    the separator deletion makes or removes a NUL, so the folded text
+    splits back into the labels' own folded forms. Where it does not split
+    back into as many labels (a label holds a NUL, or there are none), and
+    under ``LabelNorm.NONE``, each label is normalized on its own.
+    """
+    normalized = None
+    if cfg.label_normalization is LabelNorm.FOLD:
+        normalized = "\0".join(labels).casefold().translate(_SEPARATORS).split("\0")
+    if normalized is None or len(normalized) != len(labels):
+        normalized = [normalize_label(s, cfg) for s in labels]
+    distinct = list(dict.fromkeys(normalized))
+    index = dict(zip(distinct, range(len(distinct))))
+    return distinct, np.fromiter(map(index.__getitem__, normalized), dtype=np.intp,
+                                 count=len(normalized))
 
 
 def label_distances(labels1: Sequence[str], labels2: Sequence[str],
@@ -278,6 +293,25 @@ def label_distances(labels1: Sequence[str], labels2: Sequence[str],
     distinct1, at1 = _distinct(labels1, cfg)
     distinct2, at2 = _distinct(labels2, cfg)
     return levenshtein_matrix(distinct1, distinct2)[np.ix_(at1, at2)]
+
+
+def _least_over_sets(dist: np.ndarray, sets: Sequence[Collection[str]], count: int,
+                     axis: int) -> np.ndarray:
+    """The least of ``dist`` along ``axis`` over each set's labels, where
+    that axis lists the sets' ``count`` labels set by set: each set's
+    first label's line, lowered by its other labels' lines. Sets of one
+    label each leave ``dist`` as it is."""
+    if count == len(sets):
+        return dist
+    sizes = np.fromiter(map(len, sets), dtype=np.intp, count=len(sets))
+    first = np.cumsum(sizes) - sizes
+    rest = np.ones(count, dtype=bool)
+    rest[first] = False
+    least = np.take(dist, first, axis=axis)
+    # lowered in place, through views that put ``axis`` first
+    np.minimum.at(np.moveaxis(least, axis, 0), np.repeat(np.arange(len(sets)), sizes)[rest],
+                  np.moveaxis(np.compress(rest, dist, axis=axis), axis, 0))
+    return least
 
 
 def label_set_weights(sets1: Sequence[Collection[str]], sets2: Sequence[Collection[str]],
@@ -296,17 +330,20 @@ def label_set_weights(sets1: Sequence[Collection[str]], sets2: Sequence[Collecti
     bag distance, a lower bound, is at most K. When K reaches the longest
     label (gamma = 0, say), no pair can be ruled out.
     """
-    distinct1, at1 = _distinct([s for group in sets1 for s in group], cfg)
-    distinct2, at2 = _distinct([s for group in sets2 for s in group], cfg)
+    labels1 = list(itertools.chain.from_iterable(sets1))
+    labels2 = list(itertools.chain.from_iterable(sets2))
+    distinct1, at1 = _distinct(labels1, cfg)
+    distinct2, at2 = _distinct(labels2, cfg)
     longest = max(map(len, distinct1 + distinct2), default=0)
-    cutoff = int(np.count_nonzero(similarity_of_distance(np.arange(longest + 1)) >= cfg.gamma)) - 1
+    # sigma of every distance the matrix can hold: up to the longest label,
+    # or the cutoff plus one
+    sigma = similarity_of_distance(np.arange(longest + 2))
+    cutoff = int(np.count_nonzero(sigma[:-1] >= cfg.gamma)) - 1
     dist = levenshtein_matrix(distinct1, distinct2, cutoff)[np.ix_(at1, at2)]
-    # minimum over each set's rows, then over each set's columns
-    starts1 = np.cumsum([0] + [len(group) for group in sets1[:-1]])
-    starts2 = np.cumsum([0] + [len(group) for group in sets2[:-1]])
-    dist = np.minimum.reduceat(np.minimum.reduceat(dist, starts1, axis=0), starts2, axis=1)
-    sigma = similarity_of_distance(dist)
-    return np.where(sigma >= cfg.gamma, 1.0 / sigma, 0.0)
+    # the least over each set's rows, then over each set's columns
+    dist = _least_over_sets(dist, sets1, len(labels1), axis=0)
+    dist = _least_over_sets(dist, sets2, len(labels2), axis=1)
+    return np.where(sigma >= cfg.gamma, 1.0 / sigma, 0.0)[dist]
 
 
 def label_set_confidence(s1: Collection[str], s2: Collection[str],

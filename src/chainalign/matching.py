@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ontology import is_json_path
+from .ontology import is_json_path, write_text
 
 
 @dataclass(frozen=True)
@@ -351,7 +351,7 @@ def save_alignment(alignment: Alignment, path: str | Path) -> None:
                 raise ValueError(f"{path}: TSV cannot hold the id {x!r}; use a .json path")
         text = "".join(f"{c.source}\t{c.target}\t{c.confidence!r}\n"
                        for c in alignment.correspondences)
-    Path(path).write_bytes(text.encode("utf-8"))
+    write_text(path, text)
 
 
 def load_alignment(path: str | Path) -> Alignment:

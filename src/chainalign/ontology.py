@@ -74,13 +74,15 @@ class OntologyGraph:
     adjacency: dict[tuple[str, str], set[str]] = field(init=False, default_factory=dict)
 
     def __post_init__(self):
-        self.edges = list(dict.fromkeys(self.edges))
-        for e in self.edges:
-            if e.source not in self.terms:
-                raise OntologyError(f"edge references unknown term {e.source!r}")
-            if e.target not in self.terms:
-                raise OntologyError(f"edge references unknown term {e.target!r}")
-            self.adjacency.setdefault((e.source, e.target), set()).add(e.label)
+        # keyed by field tuples, which hash without a Python-level call
+        unique = dict(zip([(e.source, e.target, e.label) for e in self.edges], self.edges))
+        self.edges = list(unique.values())
+        for source, target, label in unique:
+            if source not in self.terms:
+                raise OntologyError(f"edge references unknown term {source!r}")
+            if target not in self.terms:
+                raise OntologyError(f"edge references unknown term {target!r}")
+            self.adjacency.setdefault((source, target), set()).add(label)
 
     @cached_property
     def term_ids(self) -> list[str]:
@@ -109,8 +111,10 @@ def _string(value, where: str, key: str) -> str:
     return value
 
 
-def _edge_from_json(obj: dict, index: int) -> LabeledEdge:
+def _edge_from_json(obj, index: int) -> LabeledEdge:
     where = f"edge #{index}"
+    if not isinstance(obj, dict):
+        raise OntologyError(f"{where}: expected an object")
     try:
         source = _string(obj["from"], where, "from")
         target = _string(obj["to"], where, "to")
@@ -126,6 +130,46 @@ def _edge_from_json(obj: dict, index: int) -> LabeledEdge:
     return LabeledEdge(source=source, target=target, label=label)
 
 
+def _term_from_json(obj, index: int) -> Term:
+    where = f"term #{index}"
+    if not isinstance(obj, dict) or "id" not in obj:
+        raise OntologyError(f"{where}: expected an object with an 'id'")
+    tid = _string(obj["id"], where, "id")
+    return Term(id=tid, label=_string(obj.get("label", tid), where, "label"))
+
+
+def _terms_from_json(items: list) -> list[Term]:
+    """One ``Term`` per entry. An entry with a non-empty string id and
+    label passes a lean check; any other goes through ``_term_from_json``,
+    which raises the error that names it."""
+    terms = []
+    for i, t in enumerate(items):
+        if (type(t) is dict and type(tid := t.get("id")) is str and tid
+                and type(label := t.get("label", tid)) is str and label):
+            terms.append(Term(tid, label))
+        else:
+            terms.append(_term_from_json(t, i))
+    return terms
+
+
+def _edges_from_json(items: list) -> list[LabeledEdge]:
+    """One ``LabeledEdge`` per entry. An entry with string endpoints, a
+    known kind and a non-empty string label passes a lean check; any other
+    goes through ``_edge_from_json``, which raises the error that names it."""
+    edges = []
+    for i, e in enumerate(items):
+        if type(e) is dict:
+            kind = e.get("kind", "object")
+            label = HIERARCHY_LABEL if kind == "hierarchy" else e.get("label")
+            if (type(source := e.get("from")) is str and type(target := e.get("to")) is str
+                    and (kind == "object" or kind == "hierarchy")
+                    and type(label) is str and label):
+                edges.append(LabeledEdge(source, target, label))
+                continue
+        edges.append(_edge_from_json(e, i))
+    return edges
+
+
 def _load_json(text: str, name: str) -> OntologyGraph:
     try:
         doc = json.loads(text)
@@ -139,18 +183,8 @@ def _load_json(text: str, name: str) -> OntologyGraph:
         if not isinstance(doc.get(key, []), list):
             raise OntologyError(f"{name}: '{key}' must be a list")
     try:
-        terms = []
-        for i, t in enumerate(doc.get("terms", [])):
-            if not isinstance(t, dict) or "id" not in t:
-                raise OntologyError(f"term #{i}: expected an object with an 'id'")
-            tid = _string(t["id"], f"term #{i}", "id")
-            terms.append(Term(id=tid, label=_string(t.get("label", tid), f"term #{i}", "label")))
-        edges = []
-        for i, e in enumerate(doc.get("edges", [])):
-            if not isinstance(e, dict):
-                raise OntologyError(f"edge #{i}: expected an object")
-            edges.append(_edge_from_json(e, i))
-        return _make_graph(terms, edges)
+        terms = _terms_from_json(doc.get("terms", []))
+        return _make_graph(terms, _edges_from_json(doc.get("edges", [])))
     except OntologyError as exc:
         raise OntologyError(f"{name}: {exc}") from None
 
@@ -179,6 +213,34 @@ def is_json_path(path: str | Path) -> bool:
     """The format rule for every file chainalign reads or writes: JSON when
     the name ends in ``.json``, the kind's text format otherwise."""
     return str(path).endswith(".json")
+
+
+class UnencodableText(UnicodeEncodeError):
+    """Text bound for a file that UTF-8 cannot encode, such as a lone
+    surrogate. A ``ValueError``, as every ``UnicodeEncodeError`` is; its
+    message names the file and shows the character with up to 20 of the
+    text's characters on either side."""
+
+    def __init__(self, exc: UnicodeEncodeError, path: str | Path):
+        super().__init__(exc.encoding, exc.object, exc.start, exc.end, exc.reason)
+        self.path = path
+
+    def __str__(self) -> str:
+        text, start, end = self.object, self.start, self.end
+        context = text[max(0, start - 20):end + 20]
+        return (f"{self.path}: UTF-8 cannot encode {text[start:end]!r} in {context!r} "
+                f"({self.reason}); no file can hold it, so change it in the input")
+
+
+def write_text(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8. The whole text is encoded before
+    the file is opened, so text that cannot be encoded leaves no file; it
+    raises ``UnencodableText``."""
+    try:
+        data = text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise UnencodableText(exc, path) from None
+    Path(path).write_bytes(data)
 
 
 def load_ontology(path: str | Path) -> OntologyGraph:
@@ -216,8 +278,7 @@ def save_ontology(g: OntologyGraph, path: str | Path) -> None:
     """
     path = Path(path)
     if is_json_path(path):
-        text = json.dumps(to_json_dict(g), indent=2, sort_keys=True) + "\n"
-        path.write_bytes(text.encode("utf-8"))
+        write_text(path, json.dumps(to_json_dict(g), indent=2, sort_keys=True) + "\n")
         return
     renamed = sorted(t.id for t in g.terms.values() if t.label != t.id)
     if renamed:
@@ -235,4 +296,4 @@ def save_ontology(g: OntologyGraph, path: str | Path) -> None:
     isolated = sorted(set(g.terms) - {e.source for e in g.edges} - {e.target for e in g.edges})
     if isolated:
         raise OntologyError(f"triples format cannot hold isolated terms: {', '.join(isolated)}")
-    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    write_text(path, "\n".join(lines) + "\n")

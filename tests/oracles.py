@@ -10,12 +10,14 @@ plain reachability sets and the stationary distribution from a dense
 solve. Nothing here shares code with the package, but for the one
 oracle noted below.
 
-The last three are the package's earlier constructions, kept as
+The last four are the package's earlier constructions, kept as
 array-for-array references for the ones that replaced them: the
 label-set weights from the distance of every label pair (it calls the
 package's full-matrix kernel, which is itself checked against the
 recurrence here), normalization followed by damping as two sparse
-stages, and power iteration as ``pi @ P``.
+stages, power iteration as ``pi @ P``, and the direct solve with its
+pinned system assembled by sparse indexing (it calls the package's
+``product_order``).
 """
 from __future__ import annotations
 
@@ -26,7 +28,9 @@ from functools import lru_cache
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse.linalg import splu
 
+from chainalign.chain import product_order
 from chainalign.lexical import label_distances, similarity_of_distance
 
 
@@ -399,3 +403,35 @@ def iterate_rmatmul(matrix, pi0, epsilon: float, max_iters: int, damping: float 
             converged = True
             break
     return pi / pi.sum(), iterations, converged
+
+
+def steady_state_indexed(chain) -> np.ndarray | None:
+    """The direct solve pinned at r, the first state of the chain's one
+    closed class, with I - P^T without row and column r assembled by
+    sparse indexing in ``product_order`` and factored in that order, as
+    ``steady_state`` does. None where ``steady_state`` raises: several
+    closed classes, a numerically singular system, or a significantly
+    negative entry."""
+    closed = closed_classes(chain.transitions)
+    if len(closed) > 1:
+        return None
+    (states,) = closed
+    r = min(states)
+    n = len(chain)
+    m = chain.matrix
+    order = product_order(chain)
+    order = order[order != r]
+    system = sparse.identity(n - 1, format="csc") - m[order][:, order].T
+    try:
+        lu = splu(system, permc_spec="NATURAL", diag_pivot_thresh=0.5,
+                  options=dict(SymmetricMode=True))
+    except RuntimeError:
+        return None
+    pi = np.empty(n)
+    pi[r] = 1.0
+    pi[order] = lu.solve(m[r].toarray()[0, order])
+    pi = pi / pi.sum()
+    if pi.min() < -1e-9:
+        return None
+    pi = np.clip(pi, 0.0, None)
+    return pi / pi.sum()

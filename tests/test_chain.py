@@ -61,6 +61,7 @@ from oracles import (
     normalize_then_damp,
     pair_chain_arrays,
     stationary_dense,
+    steady_state_indexed,
 )
 
 
@@ -925,6 +926,35 @@ class TestPinnedSystem:
         assert fill < colamd.L.nnz + colamd.U.nnz
         natural = splu(system, permc_spec="NATURAL", options=dict(SymmetricMode=True))
         assert fill < natural.L.nnz + natural.U.nnz
+
+
+class TestPinnedAssembly:
+    """steady_state assembles its pinned system in one CSC construction;
+    the oracle assembles it by sparse indexing, as the package did before.
+    Both factor the same system, so pi is the same to the last bit."""
+
+    def assert_matches_indexed(self, chain):
+        expected = steady_state_indexed(chain)
+        if expected is None:
+            with pytest.raises(SolverError):
+                steady_state(chain)
+        else:
+            assert np.array_equal(steady_state(chain).distribution, expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(raw_rows(), st.sampled_from(["complement", "formula"]), DAMPING)
+    def test_generated_chains(self, rows, norm_mode, a):
+        chain = normalize(chain_from_rows(rows), norm_mode, a)
+        assume(support(chain) != {(i, i) for i in range(len(chain))})  # not the identity
+        self.assert_matches_indexed(chain)
+
+    @settings(max_examples=50, deadline=None)
+    @given(ring_graphs(), ring_graphs(), st.sampled_from([1.0, 0.85]))
+    def test_pair_chains(self, g1, g2, a):
+        self.assert_matches_indexed(normalize(build_upmc(g1, g2), "complement", a))
+
+    def test_ring_pair_chain(self):
+        self.assert_matches_indexed(normalize(build_upmc(*two_rings(12, 9)), "complement", 0.85))
 
 
 class TestTransposedIterate:

@@ -212,6 +212,16 @@ class TestCompare:
         assert "'x\\ry'" in err and "carriage return" in err
         assert not out_path.exists()
 
+    def test_carriage_return_refused_before_any_input_is_read(self, capsys, tmp_path):
+        # none of the three inputs exists, so reading any of them would
+        # report that instead
+        missing = [str(tmp_path / name) for name in ("a.json", "b.json", "ref.tsv")]
+        code, out, err = run(capsys, "compare", *missing, "--case", "x\ry")
+        assert code == 2
+        assert out == ""
+        assert err == ("chainalign: error: CSV cannot hold the case label 'x\\ry'; "
+                       "drop its carriage return\n")
+
 
 class TestBenchGen:
     def test_writes_mutant_and_reference(self, capsys, tmp_path):
@@ -348,6 +358,28 @@ class TestUnencodableText:
         assert code == 2
         assert "surrogates not allowed" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["g.json", "ref.json"]
+
+
+class TestUnencodableMessage:
+    """An unencodable text's error names the file it was bound for and
+    shows the character among its neighbours."""
+
+    def test_library_writer_names_the_file_and_the_character(self, tmp_path):
+        path = tmp_path / "a.tsv"
+        with pytest.raises(ValueError) as info:
+            save_alignment(Alignment([Correspondence("x\udc80y", "a", 1.0)]), path)
+        assert str(info.value) == (
+            f"{path}: UTF-8 cannot encode '\\udc80' in 'x\\udc80y\\ta\\t1.0\\n' "
+            "(surrogates not allowed); no file can hold it, so change it in the input")
+
+    def test_align_names_the_output_path(self, capsys, tmp_path):
+        source = tmp_path / "g.json"
+        source.write_text(json.dumps({"terms": [{"id": "\udc80"}]}), encoding="utf-8")
+        out = tmp_path / "out.tsv"
+        code, _, err = run(capsys, "align", str(source), str(source), "-o", str(out))
+        assert code == 2
+        assert err.startswith(f"chainalign: error: {out}: UTF-8 cannot encode '\\udc80' in ")
+        assert not out.exists()
 
 
 class TestDumpChain:

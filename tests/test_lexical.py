@@ -401,3 +401,29 @@ class TestNormalizeLabel:
     def test_none_keeps_label_verbatim(self):
         cfg = SimilarityConfig(label_normalization=LabelNorm.NONE)
         assert normalize_label("Has_A", cfg) == "Has_A"
+
+
+# text that folds in every way that matters to batched folding: the joining
+# NUL itself, final and non-final sigma, characters that fold to several
+# (ß, İ, the ﬁ ligature), separators, a lone surrogate, and any other
+label_text = st.text(alphabet=st.sampled_from("aAΣσςßİiﬁ_- \0\udc80") | st.characters(),
+                     max_size=6)
+
+
+class TestDistinct:
+    """_distinct folds all labels of a call as one joined text; each label
+    must come out as normalize_label folds it on its own."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(label_text, max_size=8), st.sampled_from(list(LabelNorm)))
+    @example([], LabelNorm.FOLD)
+    @example(["\0"], LabelNorm.FOLD)
+    @example(["ΣΑΣ", "a\0b", "ß", "İ"], LabelNorm.FOLD)
+    @example(["ΣΑΣ", "σας", "SS", "ß"], LabelNorm.FOLD)
+    def test_matches_per_label_normalize(self, labels, norm):
+        cfg = SimilarityConfig(label_normalization=norm)
+        distinct, inverse = lexical._distinct(labels, cfg)
+        folded = [normalize_label(s, cfg) for s in labels]
+        assert distinct == list(dict.fromkeys(folded))
+        assert [distinct[i] for i in inverse] == folded
+        assert inverse.dtype == np.intp and inverse.shape == (len(labels),)

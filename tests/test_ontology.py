@@ -141,6 +141,67 @@ class TestLoadJson:
             load_ontology(path)
 
 
+# valid entries of every form the loader accepts, placed before each
+# malformed entry below and after it
+VALID_TERMS = [{"id": "A"}, {"id": "B", "label": "b"}]
+VALID_EDGES = [{"from": "A", "to": "B", "label": "m"},
+               {"from": "B", "to": "A", "kind": "hierarchy", "label": 5},
+               {"from": "A", "to": "A", "kind": "object", "label": "n"}]
+
+
+class TestMalformedAfterValidEntries:
+    """An entry that fails the loader's lean check goes through the full
+    per-entry checks, so the message and the entry's number are those of
+    the full checks, wherever the entry sits."""
+
+    @pytest.mark.parametrize("term, message", [
+        ({"label": "C"}, "term #2: expected an object with an 'id'"),
+        (5, "term #2: expected an object with an 'id'"),
+        ({"id": 1}, "term #2: 'id' must be a JSON string, got 1"),
+        ({"id": "C", "label": None}, "term #2: 'label' must be a JSON string, got None"),
+        ({"id": "", "label": "x"}, "term id must be non-empty"),
+        ({"id": "C", "label": ""}, "term 'C': label must be non-empty"),
+        ({"id": "A"}, "duplicate term id 'A'"),
+    ])
+    def test_malformed_term(self, tmp_path, term, message):
+        doc = {"terms": VALID_TERMS + [term, {"id": "D"}], "edges": VALID_EDGES}
+        path = write(tmp_path, "g.json", json.dumps(doc))
+        with pytest.raises(OntologyError, match=f"^{re.escape(f'g.json: {message}')}$"):
+            load_ontology(path)
+
+    @pytest.mark.parametrize("edge, message", [
+        (5, "edge #3: expected an object"),
+        (["A", "B"], "edge #3: expected an object"),
+        ({"to": "A", "label": "m"}, "edge #3: missing key 'from'"),
+        ({"from": "A", "label": "m"}, "edge #3: missing key 'to'"),
+        ({"from": 1, "to": "A", "label": "m"}, "edge #3: 'from' must be a JSON string, got 1"),
+        ({"from": "A", "to": None, "label": "m"},
+         "edge #3: 'to' must be a JSON string, got None"),
+        ({"from": "A", "to": "B", "label": 5}, "edge #3: 'label' must be a JSON string, got 5"),
+        ({"from": "A", "to": "B", "label": ""}, "edge #3: empty label"),
+        ({"from": "A", "to": "B"}, "edge #3: empty label"),
+        ({"from": "A", "to": "B", "label": "m", "kind": "data"},
+         "edge #3: kind must be 'object' or 'hierarchy', got 'data'"),
+        ({"from": "A", "to": "B", "label": "m", "kind": None},
+         "edge #3: kind must be 'object' or 'hierarchy', got None"),
+        ({"from": "Z", "to": "A", "label": "m"}, "edge references unknown term 'Z'"),
+        ({"from": "A", "to": "Z", "label": "m"}, "edge references unknown term 'Z'"),
+    ])
+    def test_malformed_edge(self, tmp_path, edge, message):
+        doc = {"terms": VALID_TERMS, "edges": VALID_EDGES + [edge, {"from": "B", "to": "B",
+                                                                   "label": "p"}]}
+        path = write(tmp_path, "g.json", json.dumps(doc))
+        with pytest.raises(OntologyError, match=f"^{re.escape(f'g.json: {message}')}$"):
+            load_ontology(path)
+
+    def test_valid_entries_load(self, tmp_path):
+        path = write(tmp_path, "g.json", json.dumps({"terms": VALID_TERMS, "edges": VALID_EDGES}))
+        g = load_ontology(path)
+        assert g.terms == {"A": Term("A", "A"), "B": Term("B", "b")}
+        assert g.edges == [LabeledEdge("A", "B", "m"), LabeledEdge("B", "A", "subClassOf"),
+                           LabeledEdge("A", "A", "n")]
+
+
 class TestLoadTriples:
     def test_single_line_matches_json_form(self, tmp_path):
         t = load_ontology(write(tmp_path, "g.txt", "A m B\n"))
