@@ -453,8 +453,9 @@ def _minimum_degree_order(src: np.ndarray, dst: np.ndarray, size: int) -> np.nda
     multiple minimum degree order of A^T + A."""
     from scipy.sparse.linalg import splu
 
-    # each edge counts 1, each diagonal len(src) + 1 more: a strictly dominant
-    # diagonal, so the factorization that yields the order cannot fail
+    # a COO, summed by SciPy: a dense size² pattern orders alike but peaks at
+    # 31 MB for 2,000 terms. Each edge counts 1 and each diagonal len(src) + 1
+    # more, strictly dominant, so the factorization that yields the order cannot fail
     nodes = np.arange(size)
     graph = sparse.csc_matrix(
         (np.r_[np.ones(len(src)), np.full(size, len(src) + 1.0)],

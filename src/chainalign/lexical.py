@@ -298,20 +298,13 @@ def label_distances(labels1: Sequence[str], labels2: Sequence[str],
 def _least_over_sets(dist: np.ndarray, sets: Sequence[Collection[str]], count: int,
                      axis: int) -> np.ndarray:
     """The least of ``dist`` along ``axis`` over each set's labels, where
-    that axis lists the sets' ``count`` labels set by set: each set's
-    first label's line, lowered by its other labels' lines. Sets of one
-    label each leave ``dist`` as it is."""
+    that axis lists the sets' ``count`` labels set by set: one
+    ``np.minimum.reduceat`` over the slices that start at each set's first
+    label. Sets of one label each leave ``dist`` as it is."""
     if count == len(sets):
         return dist
     sizes = np.fromiter(map(len, sets), dtype=np.intp, count=len(sets))
-    first = np.cumsum(sizes) - sizes
-    rest = np.ones(count, dtype=bool)
-    rest[first] = False
-    least = np.take(dist, first, axis=axis)
-    # lowered in place, through views that put ``axis`` first
-    np.minimum.at(np.moveaxis(least, axis, 0), np.repeat(np.arange(len(sets)), sizes)[rest],
-                  np.moveaxis(np.compress(rest, dist, axis=axis), axis, 0))
-    return least
+    return np.minimum.reduceat(dist, np.cumsum(sizes) - sizes, axis=axis)
 
 
 def label_set_weights(sets1: Sequence[Collection[str]], sets2: Sequence[Collection[str]],

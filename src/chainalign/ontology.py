@@ -105,68 +105,48 @@ def _make_graph(terms: list[Term], edges: list[LabeledEdge]) -> OntologyGraph:
     return OntologyGraph(terms=by_id, edges=edges)
 
 
-def _string(value, where: str, key: str) -> str:
-    if not isinstance(value, str):
-        raise OntologyError(f"{where}: {key!r} must be a JSON string, got {value!r}")
-    return value
-
-
-def _edge_from_json(obj, index: int) -> LabeledEdge:
-    where = f"edge #{index}"
-    if not isinstance(obj, dict):
-        raise OntologyError(f"{where}: expected an object")
-    try:
-        source = _string(obj["from"], where, "from")
-        target = _string(obj["to"], where, "to")
-    except KeyError as exc:
-        raise OntologyError(f"{where}: missing key {exc}") from None
-    kind = obj.get("kind", "object")
-    if kind not in ("object", "hierarchy"):
-        raise OntologyError(f"{where}: kind must be 'object' or 'hierarchy', got {kind!r}")
-    label = HIERARCHY_LABEL if kind == "hierarchy" else _string(
-        obj.get("label", ""), where, "label")
-    if not label:
-        raise OntologyError(f"{where}: empty label")
-    return LabeledEdge(source=source, target=target, label=label)
-
-
-def _term_from_json(obj, index: int) -> Term:
-    where = f"term #{index}"
-    if not isinstance(obj, dict) or "id" not in obj:
-        raise OntologyError(f"{where}: expected an object with an 'id'")
-    tid = _string(obj["id"], where, "id")
-    return Term(id=tid, label=_string(obj.get("label", tid), where, "label"))
-
-
 def _terms_from_json(items: list) -> list[Term]:
-    """One ``Term`` per entry. An entry with a non-empty string id and
-    label passes a lean check; any other goes through ``_term_from_json``,
-    which raises the error that names it."""
+    """One ``Term`` per entry, checked in one pass: an object with an
+    ``id``, whose ``id`` and ``label`` (the id when absent) are strings,
+    which ``Term`` refuses when empty. The first check an entry fails, in
+    that order, raises the error that names the entry by its index."""
     terms = []
     for i, t in enumerate(items):
-        if (type(t) is dict and type(tid := t.get("id")) is str and tid
-                and type(label := t.get("label", tid)) is str and label):
-            terms.append(Term(tid, label))
-        else:
-            terms.append(_term_from_json(t, i))
+        if type(t) is not dict or type(tid := t.get("id")) is not str:
+            raise OntologyError(f"term #{i}: 'id' must be a JSON string, got {tid!r}"
+                                if type(t) is dict and "id" in t
+                                else f"term #{i}: expected an object with an 'id'")
+        if type(label := t.get("label", tid)) is not str:
+            raise OntologyError(f"term #{i}: 'label' must be a JSON string, got {label!r}")
+        terms.append(Term(tid, label))
     return terms
 
 
 def _edges_from_json(items: list) -> list[LabeledEdge]:
-    """One ``LabeledEdge`` per entry. An entry with string endpoints, a
-    known kind and a non-empty string label passes a lean check; any other
-    goes through ``_edge_from_json``, which raises the error that names it."""
+    """One ``LabeledEdge`` per entry, checked in one pass: an object whose
+    ``from`` and ``to`` are present and strings, whose ``kind`` is
+    ``"object"`` (the default) or ``"hierarchy"``, and whose label
+    (``subClassOf`` for a hierarchy edge) is a non-empty string. The first
+    check an entry fails, in that order, raises the error that names the
+    entry by its index."""
     edges = []
     for i, e in enumerate(items):
-        if type(e) is dict:
-            kind = e.get("kind", "object")
-            label = HIERARCHY_LABEL if kind == "hierarchy" else e.get("label")
-            if (type(source := e.get("from")) is str and type(target := e.get("to")) is str
-                    and (kind == "object" or kind == "hierarchy")
-                    and type(label) is str and label):
-                edges.append(LabeledEdge(source, target, label))
-                continue
-        edges.append(_edge_from_json(e, i))
+        if type(e) is not dict:
+            raise OntologyError(f"edge #{i}: expected an object")
+        if type(source := e.get("from")) is not str:
+            raise OntologyError(f"edge #{i}: 'from' must be a JSON string, got {source!r}"
+                                if "from" in e else f"edge #{i}: missing key 'from'")
+        if type(target := e.get("to")) is not str:
+            raise OntologyError(f"edge #{i}: 'to' must be a JSON string, got {target!r}"
+                                if "to" in e else f"edge #{i}: missing key 'to'")
+        if (kind := e.get("kind", "object")) != "object" and kind != "hierarchy":
+            raise OntologyError(f"edge #{i}: kind must be 'object' or 'hierarchy', got {kind!r}")
+        label = HIERARCHY_LABEL if kind == "hierarchy" else e.get("label", "")
+        if type(label) is not str:
+            raise OntologyError(f"edge #{i}: 'label' must be a JSON string, got {label!r}")
+        if not label:
+            raise OntologyError(f"edge #{i}: empty label")
+        edges.append(LabeledEdge(source, target, label))
     return edges
 
 

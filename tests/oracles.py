@@ -10,18 +10,21 @@ plain reachability sets and the stationary distribution from a dense
 solve. Nothing here shares code with the package, but for the one
 oracle noted below.
 
-The last four are the package's earlier constructions, kept as
+The last five are the package's earlier constructions, kept as
 array-for-array references for the ones that replaced them: the
 label-set weights from the distance of every label pair (it calls the
 package's full-matrix kernel, which is itself checked against the
 recurrence here), normalization followed by damping as two sparse
-stages, power iteration as ``pi @ P``, and the direct solve with its
+stages, power iteration as ``pi @ P``, the direct solve with its
 pinned system assembled by sparse indexing (it calls the package's
-``product_order``).
+``product_order``), and the JSON ontology reader that tried a lean test
+on each entry before per-entry parsers (it builds the package's
+``Term``, ``LabeledEdge`` and ``OntologyGraph``).
 """
 from __future__ import annotations
 
 import itertools
+import json
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -32,6 +35,13 @@ from scipy.sparse.linalg import splu
 
 from chainalign.chain import product_order
 from chainalign.lexical import label_distances, similarity_of_distance
+from chainalign.ontology import (
+    HIERARCHY_LABEL,
+    LabeledEdge,
+    OntologyError,
+    OntologyGraph,
+    Term,
+)
 
 
 def levenshtein_recursive(a: str, b: str) -> int:
@@ -435,3 +445,100 @@ def steady_state_indexed(chain) -> np.ndarray | None:
         return None
     pi = np.clip(pi, 0.0, None)
     return pi / pi.sum()
+
+
+def _make_graph(terms: list[Term], edges: list[LabeledEdge]) -> OntologyGraph:
+    by_id: dict[str, Term] = {}
+    for t in terms:
+        if t.id in by_id:
+            raise OntologyError(f"duplicate term id {t.id!r}")
+        by_id[t.id] = t
+    return OntologyGraph(terms=by_id, edges=edges)
+
+
+def _string(value, where: str, key: str) -> str:
+    if not isinstance(value, str):
+        raise OntologyError(f"{where}: {key!r} must be a JSON string, got {value!r}")
+    return value
+
+
+def _edge_from_json(obj, index: int) -> LabeledEdge:
+    where = f"edge #{index}"
+    if not isinstance(obj, dict):
+        raise OntologyError(f"{where}: expected an object")
+    try:
+        source = _string(obj["from"], where, "from")
+        target = _string(obj["to"], where, "to")
+    except KeyError as exc:
+        raise OntologyError(f"{where}: missing key {exc}") from None
+    kind = obj.get("kind", "object")
+    if kind not in ("object", "hierarchy"):
+        raise OntologyError(f"{where}: kind must be 'object' or 'hierarchy', got {kind!r}")
+    label = HIERARCHY_LABEL if kind == "hierarchy" else _string(
+        obj.get("label", ""), where, "label")
+    if not label:
+        raise OntologyError(f"{where}: empty label")
+    return LabeledEdge(source=source, target=target, label=label)
+
+
+def _term_from_json(obj, index: int) -> Term:
+    where = f"term #{index}"
+    if not isinstance(obj, dict) or "id" not in obj:
+        raise OntologyError(f"{where}: expected an object with an 'id'")
+    tid = _string(obj["id"], where, "id")
+    return Term(id=tid, label=_string(obj.get("label", tid), where, "label"))
+
+
+def _terms_from_json(items: list) -> list[Term]:
+    """One ``Term`` per entry. An entry with a non-empty string id and
+    label passes a lean check; any other goes through ``_term_from_json``,
+    which raises the error that names it."""
+    terms = []
+    for i, t in enumerate(items):
+        if (type(t) is dict and type(tid := t.get("id")) is str and tid
+                and type(label := t.get("label", tid)) is str and label):
+            terms.append(Term(tid, label))
+        else:
+            terms.append(_term_from_json(t, i))
+    return terms
+
+
+def _edges_from_json(items: list) -> list[LabeledEdge]:
+    """One ``LabeledEdge`` per entry. An entry with string endpoints, a
+    known kind and a non-empty string label passes a lean check; any other
+    goes through ``_edge_from_json``, which raises the error that names it."""
+    edges = []
+    for i, e in enumerate(items):
+        if type(e) is dict:
+            kind = e.get("kind", "object")
+            label = HIERARCHY_LABEL if kind == "hierarchy" else e.get("label")
+            if (type(source := e.get("from")) is str and type(target := e.get("to")) is str
+                    and (kind == "object" or kind == "hierarchy")
+                    and type(label) is str and label):
+                edges.append(LabeledEdge(source, target, label))
+                continue
+        edges.append(_edge_from_json(e, i))
+    return edges
+
+
+def load_json_lean_then_full(text: str, name: str) -> OntologyGraph:
+    """The earlier reader of JSON ontology text: the same top-level checks
+    as ``ontology._load_json``, then a lean test per entry with per-entry
+    parsers that raise the error for an entry that fails it, then the
+    duplicate-id check over the parsed terms."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise OntologyError(
+            f"{name}: JSON parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from None
+    if not isinstance(doc, dict):
+        raise OntologyError(f"{name}: top-level value must be an object")
+    for key in ("terms", "edges"):
+        if not isinstance(doc.get(key, []), list):
+            raise OntologyError(f"{name}: '{key}' must be a list")
+    try:
+        terms = _terms_from_json(doc.get("terms", []))
+        return _make_graph(terms, _edges_from_json(doc.get("edges", [])))
+    except OntologyError as exc:
+        raise OntologyError(f"{name}: {exc}") from None

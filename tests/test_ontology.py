@@ -4,7 +4,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chainalign.evaluation import MUTATIONS, synth_mutate
@@ -13,12 +13,14 @@ from chainalign.ontology import (
     OntologyError,
     OntologyGraph,
     Term,
+    _load_json,
     load_ontology,
     save_ontology,
     to_json_dict,
 )
 
 from conftest import DATA_DIR, make_graph
+from oracles import load_json_lean_then_full
 
 
 def write(tmp_path, name, text):
@@ -200,6 +202,77 @@ class TestMalformedAfterValidEntries:
         assert g.terms == {"A": Term("A", "A"), "B": Term("B", "b")}
         assert g.edges == [LabeledEdge("A", "B", "m"), LabeledEdge("B", "A", "subClassOf"),
                            LabeledEdge("A", "A", "n")]
+
+
+MISSING = object()  # a fault that deletes the key
+# values a fault gives a key: absent, null, numeric, a list, empty, a
+# known id, an id no term has, a kind or a label
+FAULT_VALUES = [MISSING, None, 0, 1.5, ["A"], "", "A", "Z", "m", "data", "hierarchy"]
+NON_OBJECTS = [5, "A", None, [], ["A", "B"]]
+EDGE_FORMS = [{"label": "m"}, {"label": "n", "kind": "object"}, {"kind": "hierarchy", "label": 5}]
+
+
+@st.composite
+def faulty_docs(draw):
+    """Ontology JSON with zero, one or several faults. Valid terms and
+    edges (object edges with and without ``kind``, hierarchy edges with
+    any ``label``) are drawn first; each fault then copies an entry or
+    takes one, and replaces it by a non-object or sets or deletes some of
+    its keys. A copied term is a duplicate id."""
+    ids = draw(st.lists(st.sampled_from("ABCD"), unique=True, max_size=4))
+    terms = [{"id": t, "label": draw(st.sampled_from([t, "b"]))} if draw(st.booleans())
+             else {"id": t} for t in ids]
+    edges = [{"from": s, "to": t, **form} for s, t, form in draw(st.lists(st.tuples(
+        st.sampled_from(ids), st.sampled_from(ids), st.sampled_from(EDGE_FORMS)), max_size=5))
+    ] if ids else []
+    for _ in range(draw(st.integers(0, 3))):
+        is_term = draw(st.booleans())
+        entries, keys = (terms, ["id", "label"]) if is_term else (
+            edges, ["from", "to", "label", "kind"])
+        objects = [e for e in entries if type(e) is dict] or [
+            {"id": "E"} if is_term else {"from": "A", "to": "A", "label": "m"}]
+        source = draw(st.sampled_from(objects))
+        at = draw(st.integers(0, len(entries)))
+        if at == len(entries) or draw(st.booleans()):
+            entries.insert(at, dict(source))
+        else:
+            entries[at] = dict(source)
+        if draw(st.integers(0, 4)) == 0:
+            entries[at] = draw(st.sampled_from(NON_OBJECTS))
+            continue
+        for key, value in draw(st.dictionaries(st.sampled_from(keys),
+                                               st.sampled_from(FAULT_VALUES), max_size=3)).items():
+            if value is MISSING:
+                entries[at].pop(key, None)
+            else:
+                entries[at][key] = value
+    return {"terms": terms, "edges": edges}
+
+
+class TestIngestParity:
+    """The one-pass JSON reader agrees with the earlier lean-test-then-parsers
+    reader (``oracles.load_json_lean_then_full``) on documents with zero,
+    one or several faults: the same message, or an equal graph."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(doc=faulty_docs())
+    # an edge with two faulty endpoints; a duplicate id and an unlabelled
+    # edge, which is the fault reported
+    @example(doc={"terms": [{"id": "A"}], "edges": [{"to": None, "label": "m"}]})
+    @example(doc={"terms": [{"id": "A"}, {"id": "A"}], "edges": [{"from": "A", "to": "Z"}]})
+    def test_same_message_or_equal_graph(self, doc):
+        text = json.dumps(doc)
+        try:
+            expected = load_json_lean_then_full(text, "g.json")
+        except OntologyError as exc:
+            with pytest.raises(OntologyError) as got:
+                _load_json(text, "g.json")
+            assert str(got.value) == str(exc)
+            return
+        g = _load_json(text, "g.json")
+        assert list(g.terms.items()) == list(expected.terms.items())
+        assert g.edges == expected.edges
+        assert g.adjacency == expected.adjacency
 
 
 class TestLoadTriples:
