@@ -11,7 +11,8 @@ closest label pair across the two label sets (``lexical.label_set_weights``,
 computed once per pair of label sets). ``build_upmc`` spreads those
 weights over the adjacency entries that carry the sets: each entry of
 ontology 1 is paired with the entries of ontology 2 that its set weighs
-nonzero against, and the pairs go into one CSR construction.
+nonzero against, and SciPy converts the (row, column, weight) triplets
+to CSR.
 
 The two chain modes share that build, and ``pipeline.build_chain`` takes
 it to either one. ``edge-confidence`` uses the chain as built.
@@ -59,13 +60,12 @@ has one closed class; it counts the closed classes first and raises
 chains). It then pins pi to 1 at the closed class's first state r and
 solves the other n - 1 equations for the other n - 1 entries, a system
 that keeps the sparsity of P; pi is normalized afterwards. The system is
-factored in a product order (``product_order``), in which it is
-assembled straight from P's arrays in one CSC construction
-(``_pinned_system``): each ontology's term
-graph, read off the chain, is ordered by minimum degree, and state (i, j)
-is numbered p1[i] * n2 + p2[j]. A pair chain lies inside the product of
-its two term graphs, so that order keeps the LU's fill within the blocks
-where ontology 1's own filled graph has an entry.
+permuted by sparse indexing into a product order (``product_order``) and
+factored in it: each ontology's term graph, read off the chain, is
+ordered by minimum degree, and state (i, j) is numbered
+p1[i] * n2 + p2[j]. A pair chain lies inside the product of its two term
+graphs, so that order keeps the LU's fill within the blocks where
+ontology 1's own filled graph has an entry.
 """
 from __future__ import annotations
 
@@ -131,9 +131,11 @@ class SolverConfig:
     chain_mode: str = EDGE_CONFIDENCE
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if not isinstance(self.max_iters, int) or self.max_iters < 1:
+        if not 0 < self.epsilon < np.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
+        # bool is an int subclass, but True is no iteration count
+        if (not isinstance(self.max_iters, int) or isinstance(self.max_iters, bool)
+                or self.max_iters < 1):
             raise ValueError(f"max_iters must be a positive integer, got {self.max_iters!r}")
         _check_damping(self.damping_a)
         if self.method not in METHODS:
@@ -256,9 +258,9 @@ def build_upmc(
     Every adjacency entry carries one label set, so each pair of entries
     takes the weight of its two label sets (``label_set_weights``). Each g1
     entry, in (source, target) order, is paired with its set's partners
-    (``_partners``), the g2 entries in (source, target) order too. A stable
-    sort by row then leaves every row's columns sorted, and the entries go
-    into one CSR construction.
+    (``_partners``), the g2 entries in (source, target) order too, so
+    every row's columns come in sorted order. SciPy's COO to CSR
+    conversion keeps that order within each row, so it has nothing to sort.
     """
     cfg = cfg or SimilarityConfig()
     if not g1.terms or not g2.terms:
@@ -276,9 +278,9 @@ def build_upmc(
     owner, partner, weight = _partners(label_set_weights(sets1, sets2, cfg), sid2)
     count = np.bincount(owner, minlength=len(sets1))
     made = count[sid1]  # the pairs each g1 entry makes
-    # the index width SciPy stores; the arrays of one entry per pair are
-    # built in it, and freed once read, to keep the peak low at scale
-    index = np.int32 if max(n, made.sum()) <= np.iinfo(np.int32).max else np.int64
+    # the narrowest width that holds a state index; the arrays of one entry
+    # per pair are built in it, and freed once read, to keep the peak low at scale
+    index = np.int32 if n <= np.iinfo(np.int32).max else np.int64
     e1 = np.repeat(np.arange(len(sid1), dtype=index), made)
     at = _ranges(np.cumsum(count)[sid1] - made, made)
     e2, data = partner.astype(index)[at], weight[at]
@@ -288,14 +290,9 @@ def build_upmc(
     cols = dst1.astype(index)[e1]
     cols += dst2.astype(index)[e2]
     del e1, e2
-    # adjacency keys are unique on each side, so no (row, col) repeats
-    order = np.argsort(rows, kind="stable")
-    indptr = np.zeros(n + 1, dtype=index)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    del rows
-    data = data[order]
-    cols = cols[order]
-    return PairwiseChain(sparse.csr_matrix((data, cols, indptr), shape=(n, n)), n2=n2)
+    # adjacency keys are unique on each side, so no (row, col) repeats, and
+    # SciPy's conversion keeps each row's columns in the sorted order given
+    return PairwiseChain(sparse.csr_matrix((data, (rows, cols)), shape=(n, n)), n2=n2)
 
 
 def exact_matches(chain: PairwiseChain) -> PairwiseChain:
@@ -408,12 +405,11 @@ def iterate(chain: PairwiseChain, pi0: np.ndarray, cfg: SolverConfig | None = No
     # of P, as the CSR matvec of a transposed copy and pi @ P do, so the
     # floats are the same.
     transposed = chain.matrix.T
-    step = np.empty_like(pi)
     iterations = 0
     converged = False
     for iterations in range(1, cfg.max_iters + 1):
         nxt = transposed @ pi
-        delta = np.abs(np.subtract(nxt, pi, out=step), out=step).max()
+        delta = np.abs(nxt - pi).max()
         pi = nxt
         if delta <= cfg.epsilon * chain.damping:
             converged = True
@@ -464,31 +460,6 @@ def _minimum_degree_order(src: np.ndarray, dst: np.ndarray, size: int) -> np.nda
     return np.argsort(position)
 
 
-def _pinned_system(m: sparse.csr_matrix, order: np.ndarray) -> sparse.csc_matrix:
-    """I - P^T without the row and column of the one state missing from
-    ``order``, its rows and columns permuted alike into ``order``, as one
-    CSC construction. State u sits at position at[u]; row u of I - P
-    becomes column at[u], its entry in column v row at[v]: -P[u, v] off the
-    diagonal and 1 - P[u, u] on it. Entries that come to 0.0 are dropped,
-    as sparse subtraction drops them."""
-    n = m.shape[0]
-    at = np.full(n, -1)
-    at[order] = np.arange(n - 1)
-    rows = np.repeat(np.arange(n), np.diff(m.indptr))
-    on = m.indices == rows
-    diagonal = np.zeros(n)
-    diagonal[rows[on]] = m.data[on]
-    column = np.r_[at[rows[~on]], np.arange(n - 1)]
-    row = np.r_[at[m.indices[~on]], np.arange(n - 1)]
-    value = np.r_[-m.data[~on], 1.0 - diagonal[order]]
-    kept = (column >= 0) & (row >= 0) & (value != 0.0)
-    column, row, value = column[kept], row[kept], value[kept]
-    by_column = np.argsort(column * (n - 1) + row)
-    indptr = np.zeros(n, dtype=np.intp)
-    np.cumsum(np.bincount(column, minlength=n - 1), out=indptr[1:])
-    return sparse.csc_matrix((value[by_column], row[by_column], indptr), shape=(n - 1, n - 1))
-
-
 def steady_state(chain: PairwiseChain) -> SolveResult:
     """Direct stationary solve of (I - P^T) pi = 0, pinned at one state.
 
@@ -497,8 +468,8 @@ def steady_state(chain: PairwiseChain) -> SolveResult:
     raise ``SolverError``. Otherwise pi_r = 1 at r, the closed class's first
     state (a transient state has no mass to pin), and sparse LU solves the
     other n - 1 equations: I - P^T without row and column r, against P's
-    row r without column r. The system's rows and columns are permuted
-    alike into ``product_order``, which SuperLU is told to keep
+    row r without column r. Sparse indexing permutes the system's rows and
+    columns alike into ``product_order``, which SuperLU is told to keep
     (``permc_spec="NATURAL"``). Each column of the system is a row of
     I - P less one entry, so for a row of P that sums to exactly 1 it is
     column diagonally dominant, and stays so under a symmetric permutation
@@ -542,7 +513,7 @@ def steady_state(chain: PairwiseChain) -> SolveResult:
     r = int(np.argmin(left[labels]))
     order = product_order(chain)
     order = order[order != r]
-    system = _pinned_system(m, order)
+    system = sparse.identity(n - 1, format="csc") - m[order][:, order].T
     try:
         lu = splu(system, permc_spec="NATURAL", diag_pivot_thresh=0.5,
                   options=dict(SymmetricMode=True))

@@ -10,16 +10,18 @@ plain reachability sets and the stationary distribution from a dense
 solve. Nothing here shares code with the package, but for the one
 oracle noted below.
 
-The last five are the package's earlier constructions, kept as
-array-for-array references for the ones that replaced them: the
+The last five are array-for-array references. Four are the package's
+earlier constructions, kept for the ones that replaced them: the
 label-set weights from the distance of every label pair (it calls the
 package's full-matrix kernel, which is itself checked against the
 recurrence here), normalization followed by damping as two sparse
-stages, power iteration as ``pi @ P``, the direct solve with its
-pinned system assembled by sparse indexing (it calls the package's
-``product_order``), and the JSON ontology reader that tried a lean test
-on each entry before per-entry parsers (it builds the package's
-``Term``, ``LabeledEdge`` and ``OntologyGraph``).
+stages, power iteration as ``pi @ P``, and the JSON ontology reader
+that tried a lean test on each entry before per-entry parsers (it
+builds the package's ``Term``, ``LabeledEdge`` and ``OntologyGraph``).
+The fifth is the direct solve with its pinned system assembled by
+sparse indexing, as the package assembles it, but pinned at a state
+found from plain reachability sets (it calls the package's
+``product_order``).
 """
 from __future__ import annotations
 

@@ -103,6 +103,13 @@ class TestBuildUpmc:
         # (A, D) -> (B, E) sits at row 0 * 3 + 0, column 1 * 3 + 1
         assert chain.matrix[0, 4] > 0
 
+    def test_storage_is_canonical_with_int32_indices(self, zoo):
+        # the narrow index arrays keep the build's peak memory low at scale
+        m = build_upmc(zoo, zoo).matrix
+        assert m.nnz > 0
+        assert m.indices.dtype == np.int32 and m.indptr.dtype == np.int32
+        assert m.has_canonical_format
+
     def test_empty_graph_rejected(self, figure_left):
         with pytest.raises(ValueError, match="at least one term"):
             build_upmc(figure_left, make_graph("", []))
@@ -241,12 +248,12 @@ class TestInitialDistribution:
 
 
 class TestSolverConfig:
-    @pytest.mark.parametrize("epsilon", [0.0, -1e-9, float("nan")])
+    @pytest.mark.parametrize("epsilon", [0.0, -1e-9, float("nan"), float("inf")])
     def test_non_positive_epsilon_rejected(self, epsilon):
         with pytest.raises(ValueError, match="epsilon must be positive"):
             SolverConfig(epsilon=epsilon)
 
-    @pytest.mark.parametrize("max_iters", [2.5, "10", 0])
+    @pytest.mark.parametrize("max_iters", [2.5, "10", 0, True])
     def test_max_iters_must_be_a_positive_integer(self, max_iters):
         with pytest.raises(ValueError, match="max_iters must be a positive integer"):
             SolverConfig(max_iters=max_iters)
@@ -929,9 +936,10 @@ class TestPinnedSystem:
 
 
 class TestPinnedAssembly:
-    """steady_state assembles its pinned system in one CSC construction;
-    the oracle assembles it by sparse indexing, as the package did before.
-    Both factor the same system, so pi is the same to the last bit."""
+    """steady_state and the oracle both assemble the pinned system by
+    sparse indexing; the oracle finds the pinned state r from plain
+    reachability sets. Both factor the same system, so pi is the same to
+    the last bit."""
 
     def assert_matches_indexed(self, chain):
         expected = steady_state_indexed(chain)

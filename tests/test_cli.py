@@ -566,6 +566,12 @@ class TestMalformedInputs:
         assert code == 2
         assert "epsilon" in err
 
+    def test_infinite_epsilon_exits_2(self, capsys):
+        code, out, err = run(capsys, "align", ZOO, ZOO, "--epsilon", "inf")
+        assert code == 2
+        assert out == ""
+        assert "epsilon must be positive and finite, got inf" in err
+
     def test_zero_damping_exits_2(self, capsys):
         code, out, err = run(capsys, "align", BIRDS, BIRDS, "--damping", "0")
         assert code == 2
