@@ -112,7 +112,7 @@ class SolverError(RuntimeError):
 
 
 def _check_damping(a: float, name: str = "damping_a") -> None:
-    if not 0.0 < a <= 1.0:
+    if isinstance(a, bool) or not 0.0 < a <= 1.0:  # True is no damping weight
         raise ValueError(f"{name} must lie in (0, 1], got {a}")
 
 
@@ -131,9 +131,9 @@ class SolverConfig:
     chain_mode: str = EDGE_CONFIDENCE
 
     def __post_init__(self):
-        if not 0 < self.epsilon < np.inf:
+        # bool is an int subclass, but True is no tolerance or iteration count
+        if isinstance(self.epsilon, bool) or not 0 < self.epsilon < np.inf:
             raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
-        # bool is an int subclass, but True is no iteration count
         if (not isinstance(self.max_iters, int) or isinstance(self.max_iters, bool)
                 or self.max_iters < 1):
             raise ValueError(f"max_iters must be a positive integer, got {self.max_iters!r}")

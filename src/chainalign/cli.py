@@ -12,12 +12,11 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 solver failure.
 Every file is read and written in the format its path names: JSON when
 the name ends in ``.json``, the file kind's text format otherwise.
 A data error is malformed input, an input path that cannot be read, an
-output path that cannot be written, or a bad setting. Config-file values
-are checked like flags, and output paths are checked (not a directory, in
-an existing directory), as is ``compare``'s case label (no carriage
-return), before any input file is read. A solve that stops
-at the iteration cap still exits 0, after one ``chainalign: warning:``
-line per such solve on stderr.
+output path that cannot be written, or a bad setting. Before any input file is
+read, ``execute`` checks the settings (config-file values like flags) and the
+``-o`` path (not a directory, in an existing directory), ``bench-gen`` its output
+paths, ``compare`` its case label (no carriage return). A solve that stops at
+the iteration cap still exits 0, after one ``chainalign: warning:`` line per such solve on stderr.
 Each subcommand takes only the run flags it reads. An optional JSON config file
 (``--config``) may pre-set exactly those flags, by field name; explicit
 flags win over the file. Flag defaults come from the library config
@@ -52,7 +51,7 @@ from .evaluation import (
     synth_mutate,
 )
 from .lexical import LabelNorm, SimilarityConfig
-from .matching import alignment_to_json, load_alignment, save_alignment
+from .matching import alignment_to_json, check_min_confidence, load_alignment, save_alignment
 from .ontology import load_ontology, save_ontology, write_text
 from .pipeline import align, build_chain
 
@@ -133,8 +132,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     try:
         cfg = RunConfig(**values)
         cfg.sim_config(), cfg.solver_config()  # the library configs check their fields
-        if not 0.0 <= cfg.min_confidence <= 1.0:
-            raise ValueError(f"min_confidence must lie in [0, 1], got {cfg.min_confidence}")
+        check_min_confidence(cfg.min_confidence)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"invalid configuration: {exc}") from None
     return cfg
@@ -228,9 +226,7 @@ def _warn_unconverged(what: str, outcome) -> None:
               "iterations; raise --max-iters or loosen --epsilon", file=sys.stderr)
 
 
-def _cmd_align(args) -> int:
-    cfg = resolve_config(args)
-    _check_outputs(args.output)
+def _cmd_align(args, cfg: RunConfig) -> int:
     g1 = load_ontology(args.ontology1)
     g2 = load_ontology(args.ontology2)
     alignment, result = align(g1, g2, cfg.sim_config(), cfg.solver_config(), cfg.min_confidence)
@@ -242,7 +238,7 @@ def _cmd_align(args) -> int:
     return EXIT_OK
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args, cfg: RunConfig) -> int:
     returned = load_alignment(args.alignment).pairs()
     reference = load_reference(args.reference)
     report = evaluate(returned, reference.pairs)
@@ -254,9 +250,7 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _cmd_compare(args) -> int:
-    cfg = resolve_config(args)
-    _check_outputs(args.output)
+def _cmd_compare(args, cfg: RunConfig) -> int:
     check_case_label(args.case)
     g1 = load_ontology(args.ontology1)
     g2 = load_ontology(args.ontology2)
@@ -269,8 +263,7 @@ def _cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def _cmd_bench_gen(args) -> int:
-    cfg = resolve_config(args)
+def _cmd_bench_gen(args, cfg: RunConfig) -> int:
     stem = Path(args.ontology).stem
     out_ont = args.out_ontology or f"{stem}.mutant.json"
     out_ref = args.out_reference or f"{stem}.reference.tsv"
@@ -287,9 +280,7 @@ def _cmd_bench_gen(args) -> int:
     return EXIT_OK
 
 
-def _cmd_dump_chain(args) -> int:
-    cfg = resolve_config(args)
-    _check_outputs(args.output)
+def _cmd_dump_chain(args, cfg: RunConfig) -> int:
     g1 = load_ontology(args.ontology1)
     g2 = load_ontology(args.ontology2)
     raw = build_upmc(g1, g2, cfg.sim_config())
@@ -314,7 +305,9 @@ def execute(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        cfg = resolve_config(args)
+        _check_outputs(getattr(args, "output", None))
+        return _COMMANDS[args.command](args, cfg)
     except SolverError as exc:
         print(f"chainalign: solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .chain import BASELINE_SF, EDGE_CONFIDENCE, SolverConfig
 from .lexical import SimilarityConfig
-from .matching import Alignment, Correspondence, load_alignment, save_alignment
+from .matching import Alignment, Correspondence, load_alignment, save_alignment, tsv_can_hold
 from .ontology import LabeledEdge, OntologyGraph, Term, is_json_path, write_text
 from .pipeline import align, build_shared
 
@@ -33,9 +33,6 @@ class ReferenceAlignment:
     """Ground-truth correspondence pairs (source id, target id)."""
 
     pairs: frozenset[tuple[str, str]]
-
-    def __len__(self) -> int:
-        return len(self.pairs)
 
 
 @dataclass(frozen=True)
@@ -182,7 +179,8 @@ def comparison_csv(rows: list[CompareRow]) -> str:
 def load_reference(path: str | Path) -> ReferenceAlignment:
     """Read a reference from ``path``: alignment JSON by the ``.json`` name, else 2/3-column TSV.
 
-    Any confidence column is ignored; only the pair set matters.
+    Only the pair set is kept. A TSV confidence column is ignored; a JSON reference is
+    alignment JSON, so its pairs are one-to-one and each needs a confidence in [0, 1].
     """
     path = Path(path)
     if is_json_path(path):
@@ -204,20 +202,24 @@ def load_reference(path: str | Path) -> ReferenceAlignment:
 
 def save_reference(reference: ReferenceAlignment, path: str | Path) -> None:
     """Write ``reference`` as ``load_reference`` reads it: by the ``.json`` name, the
-    alignment JSON of its (one-to-one) pairs at confidence 1.0, else TSV.
+    alignment JSON of its pairs at confidence 1.0, else TSV. Either refuses,
+    before writing, a reference it cannot hold.
 
-    The TSV reader splits lines and tabs, strips each line and skips ``#``
-    comments, so TSV refuses, before writing, an empty id, one with a tab, a
-    line break or outer whitespace (as ``save_alignment`` does), and a source
-    starting with ``#``.
+    JSON holds only a one-to-one reference. TSV refuses an id that
+    ``save_alignment`` refuses (``tsv_can_hold``) and, as its reader skips
+    ``#`` comments, a source starting with ``#``.
     """
     pairs = sorted(reference.pairs)
     if is_json_path(path):
-        save_alignment(Alignment([Correspondence(s, t, 1.0) for s, t in pairs]), path)
+        try:
+            alignment = Alignment([Correspondence(s, t, 1.0) for s, t in pairs])
+        except ValueError:
+            raise ValueError(f"{path}: JSON needs a one-to-one reference; use a TSV path") from None
+        save_alignment(alignment, path)
     else:
         for s, t in pairs:
             for x in (s, t):  # s first, so a '#' source is the id named
-                if x != x.strip() or "\t" in x or len(x.splitlines()) != 1 or s.startswith("#"):
+                if not tsv_can_hold(x) or s.startswith("#"):
                     raise ValueError(f"{path}: TSV cannot hold the id {x!r}; use a .json path")
         write_text(path, "".join(f"{s}\t{t}\n" for s, t in pairs))
 

@@ -64,7 +64,7 @@ class SimilarityConfig:
     label_normalization: LabelNorm = LabelNorm.FOLD
 
     def __post_init__(self):
-        if not 0.0 <= self.gamma <= 1.0:
+        if isinstance(self.gamma, bool) or not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
         object.__setattr__(self, "label_normalization", LabelNorm(self.label_normalization))
 

@@ -309,6 +309,18 @@ def hungarian_max(mat: np.ndarray) -> list[tuple[int, int]]:
     return list(enumerate(_lexicographic_matching(tight_rows, tight_cols, held, owner, rows, cols)))
 
 
+def check_min_confidence(value: float) -> None:
+    """The range rule of ``refine`` and the CLI: [0, 1], without NaN or ``True``."""
+    if isinstance(value, bool) or not 0.0 <= value <= 1.0:
+        raise ValueError(f"min_confidence must lie in [0, 1], got {value}")
+
+
+def tsv_can_hold(x: str) -> bool:
+    """The id rule of both TSV writers, as their readers split lines and tabs
+    and strip each line: no outer whitespace, no tab, exactly one line."""
+    return x == x.strip() and "\t" not in x and len(x.splitlines()) == 1
+
+
 def refine(
     dist: np.ndarray,
     rows: Sequence[str],
@@ -318,8 +330,7 @@ def refine(
 ) -> Alignment:
     """Match the rescaled score matrix of a distribution over ``rows`` x
     ``cols`` and keep pairs scoring at least ``min_confidence``."""
-    if not 0.0 <= min_confidence <= 1.0:
-        raise ValueError(f"min_confidence must lie in [0, 1], got {min_confidence}")
+    check_min_confidence(min_confidence)
     scores = to_matrix(dist, rows, cols)
     correspondences = []
     for r, c in hungarian_max(scores):
@@ -341,13 +352,13 @@ def alignment_to_json(alignment: Alignment) -> str:
 
 
 def save_alignment(alignment: Alignment, path: str | Path) -> None:
-    """Write ``alignment`` as ``load_alignment`` reads it: JSON by the ``.json``
-    name, else ``source<TAB>target<TAB>confidence`` lines, refusing ids TSV cannot hold."""
+    """Write ``alignment`` as ``load_alignment`` reads it: JSON by the ``.json`` name,
+    else ``source<TAB>target<TAB>confidence`` lines, refusing ids that fail ``tsv_can_hold``."""
     if is_json_path(path):
         text = alignment_to_json(alignment)
     else:
         for x in (x for c in alignment.correspondences for x in (c.source, c.target)):
-            if x != x.strip() or "\t" in x or len(x.splitlines()) != 1:
+            if not tsv_can_hold(x):
                 raise ValueError(f"{path}: TSV cannot hold the id {x!r}; use a .json path")
         text = "".join(f"{c.source}\t{c.target}\t{c.confidence!r}\n"
                        for c in alignment.correspondences)

@@ -92,9 +92,6 @@ class OntologyGraph:
     def label(self, term_id: str) -> str:
         return self.terms[term_id].label
 
-    def __len__(self) -> int:
-        return len(self.terms)
-
 
 def _make_graph(terms: list[Term], edges: list[LabeledEdge]) -> OntologyGraph:
     by_id: dict[str, Term] = {}

@@ -248,7 +248,7 @@ class TestInitialDistribution:
 
 
 class TestSolverConfig:
-    @pytest.mark.parametrize("epsilon", [0.0, -1e-9, float("nan"), float("inf")])
+    @pytest.mark.parametrize("epsilon", [0.0, -1e-9, float("nan"), float("inf"), True])
     def test_non_positive_epsilon_rejected(self, epsilon):
         with pytest.raises(ValueError, match="epsilon must be positive"):
             SolverConfig(epsilon=epsilon)
@@ -259,7 +259,7 @@ class TestSolverConfig:
             SolverConfig(max_iters=max_iters)
 
     @pytest.mark.parametrize("field, value", [
-        ("damping_a", 0.0), ("damping_a", 1.5), ("method", "exact"),
+        ("damping_a", 0.0), ("damping_a", 1.5), ("damping_a", True), ("method", "exact"),
         ("norm_mode", "softmax"), ("chain_mode", "sf"),
     ])
     def test_bad_setting_rejected(self, field, value):
@@ -640,7 +640,7 @@ class TestChainValidation:
         half = PairwiseChain(raw.matrix, n2=raw.n2, damping=0.5)
         assert exact_matches(half).damping == 0.5
 
-    @pytest.mark.parametrize("a", [0.0, -0.5, 1.5, np.nan])
+    @pytest.mark.parametrize("a", [0.0, -0.5, 1.5, np.nan, True])
     def test_damping_outside_unit_interval_rejected(self, a):
         with pytest.raises(ValueError, match=r"^damping must lie in \(0, 1\]"):
             PairwiseChain(sparse.csr_matrix((2, 2)), damping=a)

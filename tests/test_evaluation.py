@@ -340,11 +340,12 @@ class TestReferenceIO:
         save_reference(reference, path)
         assert path.read_text() == "a\tx\nb\ty\n"
         assert load_reference(path) == reference
-        assert len(reference) == 2
+        assert len(reference.pairs) == 2
 
     @pytest.mark.parametrize("pair, bad", [
         (("p q", "r\tq"), "r\tq"), (("#tag", "x"), "#tag"), (("a", " x"), " x"),
         (("a\rb", "x"), "a\rb"), (("a", "x\x85"), "x\x85"), (("", "x"), ""),
+        (("a\u2028b", "x"), "a\u2028b"),
     ])
     def test_tsv_refuses_an_id_it_would_not_read_back(self, tmp_path, pair, bad):
         reference = ReferenceAlignment(frozenset({pair, ("b", "y")}))
@@ -354,6 +355,16 @@ class TestReferenceIO:
         assert not path.exists()
         save_reference(reference, tmp_path / "ref.json")
         assert load_reference(tmp_path / "ref.json") == reference
+
+    def test_json_refuses_a_reference_that_is_not_one_to_one(self, tmp_path):
+        reference = ReferenceAlignment(frozenset({("a", "x"), ("a", "y")}))
+        path = tmp_path / "ref.json"
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: JSON needs a one-to-one reference; use a TSV path")):
+            save_reference(reference, path)
+        assert not path.exists()
+        save_reference(reference, tmp_path / "ref.tsv")
+        assert load_reference(tmp_path / "ref.tsv") == reference
 
     def test_tsv_round_trips_inner_spaces_and_a_hash_target(self, tmp_path):
         reference = ReferenceAlignment(frozenset({("p q", "#tag")}))

@@ -339,8 +339,9 @@ class TestEdgeConfidence:
         assert label_set_confidence({"hasA"}, {"hasB"}, cfg) == 0.0
 
     def test_gamma_validation(self):
-        with pytest.raises(ValueError):
-            SimilarityConfig(gamma=1.5)
+        for gamma in (1.5, True):
+            with pytest.raises(ValueError, match="gamma must lie in"):
+                SimilarityConfig(gamma=gamma)
 
 
 class TestLabelSetConfidence:

@@ -359,7 +359,7 @@ class TestRefine:
         alignment = refine(np.array([1.0]), *ids_for(1, 1), metadata={"gamma": 0.5})
         assert alignment.metadata == {"gamma": 0.5}
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.1, 1.5, 7.0])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.1, 1.5, 7.0, True])
     def test_min_confidence_outside_unit_interval_rejected(self, bad):
         with pytest.raises(ValueError, match="min_confidence must lie in"):
             refine(np.array([1.0]), *ids_for(1, 1), min_confidence=bad)
@@ -387,7 +387,7 @@ class TestAlignmentSerialization:
         assert load_alignment(path).pairs() == {("A", "D")}
 
     @pytest.mark.parametrize("side", ["source", "target"])
-    @pytest.mark.parametrize("bad", ["a\tb", " a", "a ", "a\nb", "a\u2028b", ""])
+    @pytest.mark.parametrize("bad", ["a\tb", " a", "a ", "a\nb", "a\u2028b", "", "a\rb", "x\x85"])
     def test_tsv_refuses_an_id_it_would_not_read_back(self, tmp_path, side, bad):
         ids = {"source": "B", "target": "E", side: bad}
         alignment = Alignment([Correspondence("A", "D", 0.5),

@@ -38,7 +38,7 @@ class TestLoadJson:
             '"edges":[{"from":"A","to":"B","label":"m"}]}',
         )
         g = load_ontology(path)
-        assert len(g) == 2
+        assert len(g.terms) == 2
         assert g.edges == [LabeledEdge("A", "B", "m")]
         assert g.adjacency[("A", "B")] == {"m"}
 
@@ -152,9 +152,9 @@ VALID_EDGES = [{"from": "A", "to": "B", "label": "m"},
 
 
 class TestMalformedAfterValidEntries:
-    """An entry that fails the loader's lean check goes through the full
-    per-entry checks, so the message and the entry's number are those of
-    the full checks, wherever the entry sits."""
+    """The loader checks the entries of each kind in one loop, so a
+    malformed entry that follows valid ones is named by its own index, with
+    the message of the first check it fails."""
 
     @pytest.mark.parametrize("term, message", [
         ({"label": "C"}, "term #2: expected an object with an 'id'"),
